@@ -317,26 +317,30 @@ func BenchmarkE14SinglePass(b *testing.B) {
 	}
 }
 
-// BenchmarkE15Evaluators ablates the reference evaluator against the
-// compiled bitset engine.
+// BenchmarkE15Evaluators measures how evaluation cost tracks reach: a
+// rooted child-axis path against a //-led pattern as |t| grows.
 func BenchmarkE15Evaluators(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
-	doc := generate.DocumentScale(rng, 10_000)
-	p := pattern.Random(rand.New(rand.NewSource(3)), pattern.RandomConfig{
-		Size: 16, Labels: []string{"a", "b", "c", "d"},
-		PWildcard: 0.2, PDescendant: 0.3, PBranch: 0.4,
-	})
-	ev := match.Compile(p)
-	b.Run("reference", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			match.Eval(p, doc)
+	for _, n := range []int{1000, 10_000, 100_000} {
+		doc := generate.DocumentScale(rng, n)
+		labels := []string{doc.Root().Label()}
+		for v := doc.Root(); len(labels) < 5 && len(v.Children()) > 0; {
+			v = v.Children()[0]
+			labels = append(labels, v.Label())
 		}
-	})
-	b.Run("compiled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ev.Eval(doc)
+		k := len(labels)
+		for _, c := range []struct{ name, path string }{
+			{"rooted", "/" + strings.Join(labels, "/")},
+			{"descendant", "//" + strings.Join(labels[max(k-2, 1):], "/")},
+		} {
+			p := xpath.MustParse(c.path)
+			b.Run(fmt.Sprintf("t=%d/%s", n, c.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					match.Eval(p, doc)
+				}
+			})
 		}
-	})
+	}
 }
 
 // BenchmarkE13Schema measures the schema substrate: validation, valid-tree

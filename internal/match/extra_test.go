@@ -55,7 +55,7 @@ func TestUnicodeEndToEnd(t *testing.T) {
 	if len(res) != 1 || res[0].Label() != "מחבר" {
 		t.Fatalf("unicode evaluation failed: %v", res)
 	}
-	// And through the compiled engine.
+	// And through a compiled Evaluator.
 	if got := Compile(p).Eval(tr); len(got) != 1 {
 		t.Fatalf("compiled unicode evaluation failed")
 	}

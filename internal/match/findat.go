@@ -7,18 +7,19 @@ import (
 
 // FindEmbeddingAt returns an embedding of p into t that maps the output
 // node Ø(p) to target, or nil if none exists. Unlike FindEmbedding, it
-// runs in polynomial time: a path DP places the root-to-output spine of p
-// on the root-to-target path of t, and the off-spine subpatterns are then
-// filled in greedily from the bottom-up satisfiability tables (sibling
-// subpatterns are independent, so greedy choices cannot clash).
+// runs in polynomial time: feasibility along the root-to-target path
+// places the root-to-output spine of p (each spine node at the shallowest
+// feasible image), and the off-spine subpatterns are then filled in
+// greedily from the bottom-up satisfiability rows (sibling subpatterns
+// are independent, so greedy choices cannot clash).
 //
 // The marking procedure of Definition 9 uses it to pick the embeddings
 // e_R and e_I whose images must be preserved while a witness is shrunk.
 func FindEmbeddingAt(p *pattern.Pattern, t *xmltree.Tree, target *xmltree.Node) Embedding {
-	s := newEvalState(p)
-	s.computeSat(t.Root())
+	e := Compile(p)
+	r := e.satisfy(t.Root(), false)
+	w := r.w
 
-	spine := p.Spine()
 	var path []*xmltree.Node
 	for n := target; n != nil; n = n.Parent() {
 		path = append(path, n)
@@ -26,129 +27,115 @@ func FindEmbeddingAt(p *pattern.Pattern, t *xmltree.Tree, target *xmltree.Node) 
 	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
 		path[i], path[j] = path[j], path[i]
 	}
-	if path[0] != t.Root() {
+	if path[0] != t.Root() || len(r.recs) == 0 {
 		return nil
 	}
-	ls, lp := len(spine), len(path)
-
-	onSpine := map[*pattern.Node]bool{}
-	for _, q := range spine {
-		onSpine[q] = true
-	}
-
-	// findImage returns a node under v whose subtree satisfies the
-	// subpattern rooted at qc, respecting qc's axis, or nil.
-	findImage := func(qc *pattern.Node, v *xmltree.Node) *xmltree.Node {
-		ci := s.pindex[qc]
-		if qc.Axis() == pattern.Child {
-			for _, tc := range v.Children() {
-				if s.sat[tc][ci] {
-					return tc
-				}
+	// The recorded index of each path node: an unrecorded one has no
+	// placeable pattern node, so no embedding reaches it.
+	idx := make([]int32, len(path))
+	for j := 1; j < len(path); j++ {
+		idx[j] = -1
+		for c := idx[j-1] + 1; c < r.recs[idx[j-1]].end; c = r.recs[c].end {
+			if r.recs[c].n == path[j] {
+				idx[j] = c
+				break
 			}
+		}
+		if idx[j] < 0 {
 			return nil
 		}
-		var descend func(n *xmltree.Node) *xmltree.Node
-		descend = func(n *xmltree.Node) *xmltree.Node {
-			if s.sat[n][ci] {
-				return n
-			}
-			for _, c := range n.Children() {
-				if s.satSub[c][ci] {
-					return descend(c)
-				}
-			}
-			return nil
+	}
+
+	// feas[j]: the pattern nodes some embedding places at path[j].
+	feas := make([]uint64, len(path)*w)
+	allowed := make([]uint64, w)
+	anc := make([]uint64, w)
+	copy(allowed, r.seed[:w])
+	for j := range path {
+		f := feas[j*w : (j+1)*w]
+		sat := r.row(idx[j], satRow)
+		for k := range f {
+			f[k] = sat[k] & allowed[k]
 		}
-		for _, tc := range v.Children() {
-			if s.satSub[tc][ci] {
-				return descend(tc)
-			}
-		}
+		clear(allowed)
+		e.allow(allowed, f, anc)
+	}
+	if !has(feas[(len(path)-1)*w:], e.out) {
 		return nil
 	}
 
-	// okAt: spine node q can be mapped to path node v with all off-spine
-	// subpatterns of q embeddable below v.
-	okAt := func(q *pattern.Node, v *xmltree.Node) bool {
-		if !labelOK(q, v) {
-			return false
+	// Walk the spine up from the output: a child-axis node's parent sits
+	// on the parent image, a descendant-axis node's parent on the
+	// shallowest feasible proper ancestor.
+	emb := Embedding{}
+	spine := make([]int32, len(e.nodes)) // spine node -> recorded image, or -1
+	for q := range spine {
+		spine[q] = -1
+	}
+	q, j := e.out, len(path)-1
+	for {
+		emb[e.nodes[q]] = path[j]
+		spine[q] = idx[j]
+		if q == 0 {
+			break
 		}
-		for _, qc := range q.Children() {
-			if onSpine[qc] {
-				continue
-			}
-			if findImage(qc, v) == nil {
-				return false
+		pq := int(e.parent[q])
+		if e.nodes[q].Axis() == pattern.Child {
+			j--
+		} else {
+			j = 0
+			for !has(feas[j*w:(j+1)*w], pq) {
+				j++
 			}
 		}
-		return true
+		q = pq
 	}
 
-	// reach[i][j]: spine[0..i] placed on path[0..j] with spine[i] ↦ path[j].
-	reach := make([][]bool, ls)
-	from := make([][]int, ls)
-	for i := range reach {
-		reach[i] = make([]bool, lp)
-		from[i] = make([]int, lp)
-	}
-	if okAt(spine[0], path[0]) {
-		reach[0][0] = true
-	}
-	for i := 1; i < ls; i++ {
-		for j := 1; j < lp; j++ {
-			if !okAt(spine[i], path[j]) {
-				continue
-			}
-			if spine[i].Axis() == pattern.Child {
-				if reach[i-1][j-1] {
-					reach[i][j] = true
-					from[i][j] = j - 1
-				}
-			} else {
-				for k := 0; k < j; k++ {
-					if reach[i-1][k] {
-						reach[i][j] = true
-						from[i][j] = k
-						break
-					}
+	// findImage returns a recorded node below v whose subtree satisfies
+	// the subpattern rooted at qc, respecting qc's axis, or -1.
+	findImage := func(qc int, v int32) int32 {
+		if e.nodes[qc].Axis() == pattern.Child {
+			for c := v + 1; c < r.recs[v].end; c = r.recs[c].end {
+				if has(r.row(c, satRow), qc) {
+					return c
 				}
 			}
+			return -1
 		}
-	}
-	if !reach[ls-1][lp-1] {
-		return nil
-	}
-
-	e := Embedding{}
-	j := lp - 1
-	for i := ls - 1; i >= 0; i-- {
-		e[spine[i]] = path[j]
-		j = from[i][j]
+		for {
+			next := int32(-1)
+			for c := v + 1; c < r.recs[v].end; c = r.recs[c].end {
+				if has(r.row(c, subRow), qc) {
+					next = c
+					break
+				}
+			}
+			if next < 0 || has(r.row(next, satRow), qc) {
+				return next
+			}
+			v = next
+		}
 	}
 
 	// Fill in the off-spine subpatterns greedily, top-down.
-	var fill func(q *pattern.Node, v *xmltree.Node) bool
-	fill = func(q *pattern.Node, v *xmltree.Node) bool {
-		e[q] = v
-		for _, qc := range q.Children() {
+	var fill func(q int, v int32) bool
+	fill = func(q int, v int32) bool {
+		emb[e.nodes[q]] = r.recs[v].n
+		ok := true
+		e.eachChild(q, func(qc int) bool {
+			if spine[qc] >= 0 {
+				return true
+			}
 			img := findImage(qc, v)
-			if img == nil || !fill(qc, img) {
-				return false
-			}
-		}
-		return true
+			ok = img >= 0 && fill(qc, img)
+			return ok
+		})
+		return ok
 	}
-	for _, q := range spine {
-		for _, qc := range q.Children() {
-			if onSpine[qc] {
-				continue
-			}
-			img := findImage(qc, e[q])
-			if img == nil || !fill(qc, img) {
-				return nil // unreachable given okAt, kept as a safety net
-			}
+	for q := range spine {
+		if spine[q] >= 0 && !fill(q, spine[q]) {
+			return nil // unreachable given feasibility, kept as a safety net
 		}
 	}
-	return e
+	return emb
 }

@@ -3,12 +3,15 @@
 // [[p]](t), is the set of images of the output node Ø(p) under all
 // embeddings of p into t.
 //
-// The evaluator runs in O(|t|·|p|) time using two linear passes (a
-// bottom-up subtree-satisfiability pass followed by a top-down context-
-// feasibility pass), in the spirit of the Core XPath algorithm of Gottlob,
-// Koch & Pichler that the paper cites for its polynomial-time operation
-// bounds. A naive embedding enumerator (AllEmbeddings) serves as the
-// specification oracle in tests.
+// One kernel (kernel.go) serves every evaluation: a top-down pass finds
+// the tree nodes the pattern can reach, a bottom-up subtree-satisfiability
+// pass and a top-down context-feasibility pass then run over those nodes
+// only, on bitmask rows. The cost is O(|t|·|p|) at most, in the spirit of
+// the Core XPath algorithm of Gottlob, Koch & Pichler that the paper cites
+// for its polynomial-time operation bounds, and tracks the part of t the
+// pattern reaches: a rooted child-axis path visits the children of the
+// nodes on its matches, not the whole tree. A naive embedding enumerator
+// (AllEmbeddings, EvalNaive) serves as the specification oracle in tests.
 package match
 
 import (
@@ -16,141 +19,14 @@ import (
 	"xmlconflict/internal/xmltree"
 )
 
-// evalState carries the per-(tree node, pattern node) bit tables for one
-// evaluation. Pattern nodes are indexed by preorder position.
-type evalState struct {
-	p      *pattern.Pattern
-	pnodes []*pattern.Node
-	pindex map[*pattern.Node]int
-	m      int
-
-	// sat[v][q]: the subpattern rooted at q embeds into the subtree rooted
-	// at v with q ↦ v.
-	sat map[*xmltree.Node][]bool
-	// satSub[v][q]: some node in the subtree rooted at v (v included)
-	// satisfies sat[·][q].
-	satSub map[*xmltree.Node][]bool
-}
-
-func newEvalState(p *pattern.Pattern) *evalState {
-	s := &evalState{
-		p:      p,
-		pnodes: p.Nodes(),
-		pindex: map[*pattern.Node]int{},
-		sat:    map[*xmltree.Node][]bool{},
-		satSub: map[*xmltree.Node][]bool{},
-	}
-	s.m = len(s.pnodes)
-	for i, q := range s.pnodes {
-		s.pindex[q] = i
-	}
-	return s
-}
-
 func labelOK(q *pattern.Node, v *xmltree.Node) bool {
 	return q.IsWildcard() || q.Label() == v.Label()
-}
-
-// computeSat fills sat and satSub for the subtree rooted at v, bottom-up.
-func (s *evalState) computeSat(v *xmltree.Node) {
-	for _, c := range v.Children() {
-		s.computeSat(c)
-	}
-	sat := make([]bool, s.m)
-	sub := make([]bool, s.m)
-	// Pattern nodes in reverse preorder: children before parents.
-	for qi := s.m - 1; qi >= 0; qi-- {
-		q := s.pnodes[qi]
-		ok := labelOK(q, v)
-		if ok {
-			for _, qc := range q.Children() {
-				ci := s.pindex[qc]
-				found := false
-				for _, tc := range v.Children() {
-					if qc.Axis() == pattern.Child {
-						if s.sat[tc][ci] {
-							found = true
-							break
-						}
-					} else if s.satSub[tc][ci] {
-						found = true
-						break
-					}
-				}
-				if !found {
-					ok = false
-					break
-				}
-			}
-		}
-		sat[qi] = ok
-		sub[qi] = ok
-		if !sub[qi] {
-			for _, tc := range v.Children() {
-				if s.satSub[tc][qi] {
-					sub[qi] = true
-					break
-				}
-			}
-		}
-	}
-	s.sat[v] = sat
-	s.satSub[v] = sub
 }
 
 // Eval returns [[p]](t): the set of nodes v of t such that some embedding
 // of p into t maps Ø(p) to v. The result is sorted by node identity.
 func Eval(p *pattern.Pattern, t *xmltree.Tree) []*xmltree.Node {
-	s := newEvalState(p)
-	s.computeSat(t.Root())
-	if !s.sat[t.Root()][0] {
-		return nil
-	}
-	// Top-down feasibility: feas[v][q] means a full embedding exists that
-	// maps q to v. Because embeddings of sibling subpatterns are
-	// independent, feas[v][q] = sat[v][q] ∧ (q is the root ∧ v is the root,
-	// or the edge constraint to some feasible image of q's parent holds).
-	feas := map[*xmltree.Node][]bool{}
-	// ancFeas[v][q]: some proper ancestor u of v has feas[u][q].
-	var down func(v *xmltree.Node, anc []bool)
-	outIdx := s.pindex[p.Output()]
-	var result []*xmltree.Node
-	down = func(v *xmltree.Node, anc []bool) {
-		f := make([]bool, s.m)
-		sat := s.sat[v]
-		for qi, q := range s.pnodes {
-			if !sat[qi] {
-				continue
-			}
-			if q.Parent() == nil {
-				f[qi] = v == t.Root()
-				continue
-			}
-			pi := s.pindex[q.Parent()]
-			if q.Axis() == pattern.Child {
-				if pv := v.Parent(); pv != nil && feas[pv][pi] {
-					f[qi] = true
-				}
-			} else if anc[pi] {
-				f[qi] = true
-			}
-		}
-		feas[v] = f
-		if f[outIdx] {
-			result = append(result, v)
-		}
-		if len(v.Children()) > 0 {
-			childAnc := make([]bool, s.m)
-			for qi := range childAnc {
-				childAnc[qi] = anc[qi] || f[qi]
-			}
-			for _, c := range v.Children() {
-				down(c, childAnc)
-			}
-		}
-	}
-	down(t.Root(), make([]bool, s.m))
-	return xmltree.SortByID(result)
+	return Compile(p).Eval(t)
 }
 
 // EvalSet returns [[p]](t) as a set of node identities.
@@ -165,9 +41,7 @@ func EvalSet(p *pattern.Pattern, t *xmltree.Tree) map[int]bool {
 // Embeds reports whether an embedding of p into t exists at all
 // ([[p]](t) ≠ ∅); it needs only the bottom-up pass.
 func Embeds(p *pattern.Pattern, t *xmltree.Tree) bool {
-	s := newEvalState(p)
-	s.computeSat(t.Root())
-	return s.sat[t.Root()][0]
+	return Compile(p).Embeds(t)
 }
 
 // EmbedsAt reports whether the pattern p embeds into the tree t with the
@@ -176,17 +50,14 @@ func Embeds(p *pattern.Pattern, t *xmltree.Tree) bool {
 // an embedding of SEQ_{n'}^{Ø(R)} into X (v = root of X, anchored) or into
 // some subtree of X (any v).
 func EmbedsAt(p *pattern.Pattern, t *xmltree.Tree, v *xmltree.Node) bool {
-	s := newEvalState(p)
-	s.computeSat(t.Root())
-	return s.sat[v][0]
+	return Compile(p).embedsAt(v)
 }
 
 // EmbedsAnywhere reports whether p embeds into t with the pattern root
 // mapped to any node of t.
 func EmbedsAnywhere(p *pattern.Pattern, t *xmltree.Tree) bool {
-	s := newEvalState(p)
-	s.computeSat(t.Root())
-	return s.satSub[t.Root()][0]
+	r := Compile(p).satisfy(t.Root(), true)
+	return len(r.recs) > 0 && has(r.row(0, subRow), 0)
 }
 
 // Embedding is a total assignment of pattern nodes to tree nodes that

@@ -145,7 +145,7 @@ func TestModelAlwaysEmbeds(t *testing.T) {
 }
 
 func TestEvalMatchesNaiveOracle(t *testing.T) {
-	// The two-pass evaluator agrees with full embedding enumeration on
+	// The evaluation kernel agrees with full embedding enumeration on
 	// random pattern/tree pairs.
 	f := func(pseed, tseed int64, psize, tsize uint8) bool {
 		prng := rand.New(rand.NewSource(pseed))

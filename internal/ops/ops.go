@@ -31,8 +31,10 @@ func (r Read) EvalSubtrees(t *xmltree.Tree) []*xmltree.Node {
 
 // Update is an operation that modifies a tree in place: INSERT or DELETE.
 type Update interface {
-	// Apply mutates t, marks modified subtrees, and returns the
-	// insertion/deletion points ([[p]](t) evaluated before mutation).
+	// Apply mutates t, marks every change point and its ancestors
+	// modified (Tree.MarkModified), and returns the insertion/deletion
+	// points ([[p]](t) evaluated before mutation). The tree-conflict
+	// checks and CommuteWitness are exact only under this marking.
 	Apply(t *xmltree.Tree) ([]*xmltree.Node, error)
 	// Pattern returns the operation's tree pattern.
 	Pattern() *pattern.Pattern
@@ -263,6 +265,14 @@ func (s Semantics) String() string {
 // the informal Section 6 definition of conflicts between two updates under
 // value-based semantics, where the fresh-clone identity problem of the
 // reference semantics disappears.
+//
+// Both orders start from a clone of t and change it only through Apply,
+// which marks every change point and its ancestors modified (the Update
+// contract), so xmltree.IsomorphicDerived compares only what the two
+// orders changed: an unmodified node with one of t's identities is the
+// same subtree on both sides. Nodes the updates insert draw identities
+// from t's next identity in both orders, so equal fresh identities name
+// unrelated nodes and are compared by value, never cancelled.
 func CommuteWitness(u1, u2 Update, t *xmltree.Tree) (bool, error) {
 	a, err := ApplyCopy(u1, t)
 	if err != nil {
@@ -278,5 +288,5 @@ func CommuteWitness(u1, u2 Update, t *xmltree.Tree) (bool, error) {
 	if _, err := u1.Apply(b); err != nil {
 		return false, err
 	}
-	return !xmltree.Isomorphic(a, b), nil
+	return !xmltree.IsomorphicDerived(t, a, b), nil
 }

@@ -16,29 +16,32 @@ package xmltree
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
 // Node is a node of an unordered labeled tree. Nodes are created and owned
 // by a Tree; the zero value is not useful.
+//
+// The store retains a clone of each document for every admission-window
+// entry, so a Node is kept to the 48-byte allocation class: clones share
+// their source's label header, and the identity and the subtree-modified
+// flag share one word.
 type Node struct {
-	id       int
-	label    string
+	label    *string
 	parent   *Node
 	children []*Node
-
-	// modified records that the subtree rooted at this node was changed by
-	// an update operation (used by the Lemma 1 tree-conflict checker).
-	modified bool
+	// key is id<<1 | modified. The modified bit records that the subtree
+	// rooted at this node was changed by an update operation (used by the
+	// Lemma 1 tree-conflict checker and the commute check).
+	key int
 }
 
 // ID returns the node's identity, unique within its tree's history. Clones
 // made with Tree.Clone preserve IDs; nodes added by updates get fresh IDs.
-func (n *Node) ID() int { return n.id }
+func (n *Node) ID() int { return n.key >> 1 }
 
 // Label returns the node's label.
-func (n *Node) Label() string { return n.label }
+func (n *Node) Label() string { return *n.label }
 
 // Parent returns the node's parent, or nil for the root.
 func (n *Node) Parent() *Node { return n.parent }
@@ -49,7 +52,7 @@ func (n *Node) Children() []*Node { return n.children }
 
 // Modified reports whether the subtree rooted at n has been changed by an
 // update operation applied to its tree.
-func (n *Node) Modified() bool { return n.modified }
+func (n *Node) Modified() bool { return n.key&1 != 0 }
 
 // IsAncestorOf reports whether n is a proper ancestor of m.
 func (n *Node) IsAncestorOf(m *Node) bool {
@@ -74,7 +77,7 @@ func (n *Node) Depth() int {
 func (n *Node) PathLabels() []string {
 	var rev []string
 	for m := n; m != nil; m = m.parent {
-		rev = append(rev, m.label)
+		rev = append(rev, *m.label)
 	}
 	out := make([]string, len(rev))
 	for i, l := range rev {
@@ -92,12 +95,25 @@ type Tree struct {
 // New returns a tree consisting of a single root node with the given label.
 func New(rootLabel string) *Tree {
 	t := &Tree{}
-	t.root = t.newNode(rootLabel)
+	t.root = t.newNode(withLabel(rootLabel))
 	return t
 }
 
-func (t *Tree) newNode(label string) *Node {
-	n := &Node{id: t.nextID, label: label}
+// withLabel allocates a node together with its label header, in one
+// 64-byte allocation; clones and grafted copies share the header and take
+// 48 bytes.
+func withLabel(label string) *Node {
+	a := &struct {
+		n Node
+		l string
+	}{l: label}
+	a.n.label = &a.l
+	return &a.n
+}
+
+// newNode gives n the tree's next identity.
+func (t *Tree) newNode(n *Node) *Node {
+	n.key = t.nextID << 1
 	t.nextID++
 	return n
 }
@@ -108,7 +124,11 @@ func (t *Tree) Root() *Node { return t.root }
 // AddChild creates a new node with the given label, attaches it as a child
 // of parent, and returns it. The parent must belong to this tree.
 func (t *Tree) AddChild(parent *Node, label string) *Node {
-	n := t.newNode(label)
+	return t.addChild(parent, withLabel(label))
+}
+
+func (t *Tree) addChild(parent, n *Node) *Node {
+	t.newNode(n)
 	n.parent = parent
 	parent.children = append(parent.children, n)
 	return n
@@ -163,7 +183,7 @@ func (t *Tree) Nodes() []*Node {
 func (t *Tree) NodeByID(id int) *Node {
 	var found *Node
 	t.Walk(func(n *Node) bool {
-		if n.id == id {
+		if n.ID() == id {
 			found = n
 			return false
 		}
@@ -175,7 +195,7 @@ func (t *Tree) NodeByID(id int) *Node {
 // Labels returns the set of labels used in the tree (Σ_t in the paper).
 func (t *Tree) Labels() map[string]bool {
 	out := map[string]bool{}
-	t.Walk(func(n *Node) bool { out[n.label] = true; return true })
+	t.Walk(func(n *Node) bool { out[*n.label] = true; return true })
 	return out
 }
 
@@ -199,7 +219,7 @@ func (t *Tree) Clone() *Tree {
 }
 
 func cloneNode(n *Node, parent *Node) *Node {
-	m := &Node{id: n.id, label: n.label, parent: parent, modified: n.modified}
+	m := &Node{key: n.key, label: n.label, parent: parent}
 	m.children = make([]*Node, len(n.children))
 	for i, c := range n.children {
 		m.children[i] = cloneNode(c, m)
@@ -224,7 +244,7 @@ func (t *Tree) Graft(parent *Node, x *Tree) *Node {
 }
 
 func (t *Tree) graftNode(parent *Node, src *Node) *Node {
-	n := t.AddChild(parent, src.label)
+	n := t.addChild(parent, &Node{label: src.label})
 	for _, c := range src.children {
 		t.graftNode(n, c)
 	}
@@ -254,17 +274,17 @@ func (t *Tree) DeleteSubtree(n *Node) error {
 // check of Lemma 1 runs in time linear in |t|.
 func (t *Tree) MarkModified(n *Node) {
 	for m := n; m != nil; m = m.parent {
-		m.modified = true
+		m.key |= 1
 	}
 }
 
 // ClearModified resets all subtree-modified flags.
 func (t *Tree) ClearModified() {
-	t.Walk(func(n *Node) bool { n.modified = false; return true })
+	t.Walk(func(n *Node) bool { n.key &^= 1; return true })
 }
 
 // Relabel changes the label of n.
-func (t *Tree) Relabel(n *Node, label string) { n.label = label }
+func (t *Tree) Relabel(n *Node, label string) { n.label = &label }
 
 // Detach removes n from its parent without deleting it, and Attach places a
 // detached node (with its subtree) under a new parent. They implement the
@@ -278,7 +298,7 @@ func (t *Tree) Detach(n *Node) error {
 // have a parent.
 func (t *Tree) Attach(parent, n *Node) error {
 	if n.parent != nil {
-		return fmt.Errorf("xmltree: node %d is already attached", n.id)
+		return fmt.Errorf("xmltree: node %d is already attached", n.ID())
 	}
 	n.parent = parent
 	parent.children = append(parent.children, n)
@@ -289,20 +309,6 @@ func (t *Tree) Attach(parent, n *Node) error {
 // children sorted by canonical code. It is meant for debugging and tests.
 func (t *Tree) String() string {
 	var b strings.Builder
-	writeNode(&b, t.root)
+	canonicalOrder(t.root).write(&b, 0, func(l string) string { return l })
 	return b.String()
-}
-
-func writeNode(b *strings.Builder, n *Node) {
-	if len(n.children) == 0 {
-		fmt.Fprintf(b, "<%s/>", n.label)
-		return
-	}
-	fmt.Fprintf(b, "<%s>", n.label)
-	cs := append([]*Node(nil), n.children...)
-	sort.Slice(cs, func(i, j int) bool { return Code(cs[i]) < Code(cs[j]) })
-	for _, c := range cs {
-		writeNode(b, c)
-	}
-	fmt.Fprintf(b, "</%s>", n.label)
 }

@@ -1,11 +1,11 @@
 package xmltree
 
 import (
+	"bufio"
 	"encoding/xml"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -158,72 +158,73 @@ func MustParse(s string) *Tree {
 // (code-sorted) order so that output is deterministic even though the model
 // is unordered. If indent is true, a pretty-printed form is produced.
 func (t *Tree) Write(w io.Writer, indent bool) error {
-	bw := &errWriter{w: w}
+	bw := bufio.NewWriter(w)
+	c := canonicalOrder(t.root)
 	if indent {
-		writeXMLIndent(bw, t.root, 0)
+		c.writeXMLIndent(bw, 0, 0)
 	} else {
-		writeXML(bw, t.root)
+		c.write(bw, 0, xmlName)
 	}
-	return bw.err
+	return bw.Flush()
 }
 
 // XML returns the serialized form of the tree (children in canonical
 // order, no indentation).
 func (t *Tree) XML() string {
 	var b strings.Builder
-	_ = t.Write(&b, false)
+	canonicalOrder(t.root).write(&b, 0, xmlName)
 	return b.String()
 }
 
-type errWriter struct {
-	w   io.Writer
-	err error
+// textWriter is what the writers need: strings.Builder and bufio.Writer
+// both provide it, and bufio.Writer keeps the first error for Flush.
+type textWriter interface {
+	io.StringWriter
+	io.ByteWriter
 }
 
-func (e *errWriter) writef(format string, args ...any) {
-	if e.err != nil {
+// write serializes node i's subtree in canonical order, naming each
+// element by name(label).
+func (c *canonical) write(w textWriter, i int32, name func(string) string) {
+	n := name(*c.nodes[i].label)
+	w.WriteByte('<')
+	w.WriteString(n)
+	kids := c.children(i)
+	if len(kids) == 0 {
+		w.WriteString("/>")
 		return
 	}
-	_, e.err = fmt.Fprintf(e.w, format, args...)
+	w.WriteByte('>')
+	for _, k := range kids {
+		c.write(w, k, name)
+	}
+	w.WriteString("</")
+	w.WriteString(n)
+	w.WriteByte('>')
 }
 
-func sortedChildren(n *Node) []*Node {
-	cs := append([]*Node(nil), n.children...)
-	sort.Slice(cs, func(i, j int) bool {
-		ci, cj := Code(cs[i]), Code(cs[j])
-		if ci != cj {
-			return ci < cj
-		}
-		return cs[i].id < cs[j].id
-	})
-	return cs
-}
-
-func writeXML(w *errWriter, n *Node) {
-	name := xmlName(n.label)
-	if len(n.children) == 0 {
-		w.writef("<%s/>", name)
+func (c *canonical) writeXMLIndent(w textWriter, i int32, depth int) {
+	name := xmlName(*c.nodes[i].label)
+	for d := 0; d < depth; d++ {
+		w.WriteString("  ")
+	}
+	w.WriteByte('<')
+	w.WriteString(name)
+	kids := c.children(i)
+	if len(kids) == 0 {
+		w.WriteString("/>\n")
 		return
 	}
-	w.writef("<%s>", name)
-	for _, c := range sortedChildren(n) {
-		writeXML(w, c)
+	w.WriteString(">\n")
+	for _, k := range kids {
+		c.writeXMLIndent(w, k, depth+1)
 	}
-	w.writef("</%s>", name)
-}
-
-func writeXMLIndent(w *errWriter, n *Node, depth int) {
-	pad := strings.Repeat("  ", depth)
-	name := xmlName(n.label)
-	if len(n.children) == 0 {
-		w.writef("%s<%s/>\n", pad, name)
-		return
+	for d := 0; d < depth; d++ {
+		w.WriteString("  ")
 	}
-	w.writef("%s<%s>\n", pad, name)
-	for _, c := range sortedChildren(n) {
-		writeXMLIndent(w, c, depth+1)
-	}
-	w.writef("%s</%s>\n", pad, name)
+	w.WriteString("</")
+	w.WriteString(name)
+	w.WriteString(">\n")
 }
 
 // SafeLabel reports whether a label survives XML serialization
@@ -256,8 +257,8 @@ func SafeLabel(label string) bool {
 func (t *Tree) UnsafeLabel() (string, bool) {
 	bad, found := "", false
 	t.Walk(func(n *Node) bool {
-		if !SafeLabel(n.label) {
-			bad, found = n.label, true
+		if !SafeLabel(*n.label) {
+			bad, found = *n.label, true
 			return false
 		}
 		return true
