@@ -6,8 +6,8 @@
 package xmlconflict_test
 
 import (
+	"context"
 	"fmt"
-	"io"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -23,6 +23,7 @@ import (
 	"xmlconflict/internal/program"
 	"xmlconflict/internal/schema"
 	"xmlconflict/internal/telemetry"
+	"xmlconflict/internal/telemetry/span"
 	"xmlconflict/internal/xmltree"
 	"xmlconflict/internal/xpath"
 )
@@ -447,10 +448,11 @@ restock:
 }
 
 // BenchmarkE18TelemetryOverhead is the testing.B anchor for experiment
-// E18: the cost of the observability layer on the bounded-search and
-// linear decision procedures, with telemetry channels detached ("off",
-// one nil check per event site), with a stats registry attached, and
-// with the full channel set (stats + JSON tracer + throttled progress).
+// E18: the time and allocations the observability layer costs the
+// bounded-search and linear decision procedures, with telemetry channels
+// detached ("off", one nil check per site), with a stats registry
+// attached, and with stats, a fresh span trace per call, and throttled
+// progress attached.
 func BenchmarkE18TelemetryOverhead(b *testing.B) {
 	searchRead := ops.Read{P: xpath.MustParse("a[b][c]/d")}
 	searchDel := ops.Delete{P: xpath.MustParse("z/w")}
@@ -460,33 +462,35 @@ func BenchmarkE18TelemetryOverhead(b *testing.B) {
 		n := linUpd.AddChild(linUpd.Output(), pattern.Child, "a")
 		linUpd.SetOutput(n)
 	}
+	stats := telemetry.New()
+	progress := telemetry.NewProgress(func(telemetry.Update) {}, time.Hour)
 	modes := []struct {
 		name string
 		with func(core.SearchOptions) core.SearchOptions
 	}{
 		{"off", func(o core.SearchOptions) core.SearchOptions { return o }},
 		{"stats", func(o core.SearchOptions) core.SearchOptions {
-			return o.WithStats(telemetry.New())
+			return o.WithStats(stats)
 		}},
-		{"full", func(o core.SearchOptions) core.SearchOptions {
-			return o.WithStats(telemetry.New()).
-				WithTracer(telemetry.NewJSONTracer(io.Discard)).
-				WithProgress(telemetry.NewProgress(func(telemetry.Update) {}, time.Hour))
+		{"stats+span+progress", func(o core.SearchOptions) core.SearchOptions {
+			return o.WithStats(stats).WithProgress(progress).
+				WithContext(span.Context(context.Background(), span.New("E18").Root()))
 		}},
 	}
 	for _, m := range modes {
-		opts := m.with(core.SearchOptions{MaxNodes: 6, MaxCandidates: 10_000})
+		sopts := core.SearchOptions{MaxNodes: 6, MaxCandidates: 10_000}
 		b.Run("search/"+m.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Detect(searchRead, searchDel, ops.NodeSemantics, opts); err != nil {
+				if _, err := core.Detect(searchRead, searchDel, ops.NodeSemantics, m.with(sopts)); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-		lopts := m.with(core.SearchOptions{})
 		b.Run("linear/"+m.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Detect(ops.Read{P: linRead}, ops.Delete{P: linUpd}, ops.NodeSemantics, lopts); err != nil {
+				if _, err := core.Detect(ops.Read{P: linRead}, ops.Delete{P: linUpd}, ops.NodeSemantics, m.with(core.SearchOptions{})); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -20,7 +20,8 @@
 //	-schema  restrict witnesses to documents valid under a schema file
 //	-max-input  largest -schema file accepted in bytes (default 16 MiB)
 //	-quiet   print only "conflict" or "no conflict"
-//	-trace   stream JSON-lines decision-trace events to stderr
+//	-trace   print the span tree (method choice, per-edge cut decisions,
+//	         search budget spend, shrink, durations) to stderr at exit
 //	-stats   print a telemetry counter snapshot to stderr afterwards
 //	-progress  report live search progress on stderr
 //	-listen  serve /metrics, /debug/pprof, and health probes on this
@@ -75,8 +76,7 @@ func run(args []string) int {
 	quiet := fs.Bool("quiet", false, "print only the verdict")
 	jsonOut := fs.Bool("json", false, "emit the verdict as JSON")
 	schemaPath := fs.String("schema", "", "restrict witnesses to documents valid under this schema file")
-	trace := fs.Bool("trace", false, "stream JSON-lines decision-trace events to stderr")
-	spanTree := fs.Bool("span", false, "print the request's span tree (method choice, search budget spend, durations) to stderr afterwards")
+	trace := fs.Bool("trace", false, "print the span tree (method choice, per-edge cut decisions, search budget spend, shrink, durations) to stderr at exit")
 	stats := fs.Bool("stats", false, "print a telemetry counter snapshot to stderr afterwards")
 	progress := fs.Bool("progress", false, "report live search progress on stderr")
 	listen := fs.String("listen", "", "serve /metrics, /debug/pprof, and health probes on this address while running")
@@ -149,20 +149,15 @@ func run(args []string) int {
 		defer obs.Close()
 		fmt.Fprintf(os.Stderr, "xconflict: observability on http://%s\n", addr)
 	}
-	if *trace {
-		opts = opts.WithTracer(xmlconflict.NewJSONTracer(os.Stderr))
-	}
 	if *progress {
 		opts = opts.WithProgress(xmlconflict.NewProgressWriter(os.Stderr, 0))
 	}
-	var spanTr *xmlconflict.SpanTrace
-	if *spanTree {
+	if *trace {
 		ctx, tr := xmlconflict.StartTrace(context.Background(), "xconflict")
-		spanTr = tr
 		opts = opts.WithContext(ctx)
 		defer func() {
-			spanTr.Finish()
-			spanTr.View().WriteTree(os.Stderr)
+			tr.Finish()
+			tr.View().WriteTree(os.Stderr)
 		}()
 	}
 
@@ -202,7 +197,7 @@ func run(args []string) int {
 		}
 	}
 	if st != nil {
-		defer fmt.Fprint(os.Stderr, st.Snapshot())
+		defer func() { fmt.Fprint(os.Stderr, st.Snapshot()) }()
 	}
 	if *jsonOut {
 		out := jsonVerdict{
@@ -242,7 +237,7 @@ func run(args []string) int {
 	if v.Conflict && v.Witness != nil {
 		w := v.Witness
 		if *shrink && sem == xmlconflict.NodeSemantics {
-			if s, err := xmlconflict.ShrinkWitness(w, read, upd); err == nil {
+			if s, err := xmlconflict.ShrinkWitnessObserved(w, read, upd, opts); err == nil {
 				w = s
 			}
 		}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"os"
 	"strings"
@@ -107,56 +106,64 @@ func captureStderr(t *testing.T, fn func()) string {
 }
 
 func TestTraceFlag(t *testing.T) {
-	// The quickstart pair with -trace must stream valid JSON lines to
-	// stderr covering method selection, candidate counts, and the final
-	// verdict.
+	// -trace prints the span tree to stderr at exit: a trace header, the
+	// detect span with the method choice and the verdict, and the linear
+	// detector's per-edge cut decisions as events.
 	out := captureStderr(t, func() {
 		if got := run([]string{"-trace", "-quiet", "-read", "//C", "-insert", "/*/B", "-x", "<C/>"}); got != 1 {
 			t.Errorf("exit %d, want 1", got)
 		}
 	})
-	events := map[string]map[string]any{}
-	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-		var ev map[string]any
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("trace line is not JSON: %q: %v", line, err)
+	for _, want := range []string{"trace ", "xconflict", "detect ", "method=linear", "conflict=true", "· linear.edge", "cut=true"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("-trace output missing %q:\n%s", want, out)
 		}
-		name, _ := ev["event"].(string)
-		if name == "" {
-			t.Fatalf("trace line without event name: %q", line)
-		}
-		events[name] = ev
-	}
-	m, ok := events["detect.method"]
-	if !ok || m["method"] != "linear" {
-		t.Fatalf("no linear detect.method event: %v", events)
-	}
-	v, ok := events["detect.verdict"]
-	if !ok || v["conflict"] != true {
-		t.Fatalf("no conflicting detect.verdict event: %v", events)
-	}
-	if _, ok := v["candidates"]; !ok {
-		t.Fatalf("detect.verdict has no candidate count: %v", v)
 	}
 }
 
 func TestSpanFlag(t *testing.T) {
-	// -span prints the request's span tree to stderr: a trace header
-	// with a hex ID, a detect span, and — for a branching read that
-	// needs the NP search — a nested search span with its budget spend.
+	// The span tree that -span used to print is now -trace's output, so
+	// -span itself is an unknown flag. For a branching read that needs
+	// the NP search, the tree has a trace header, a detect span, and a
+	// nested search span with its budget spend.
+	captureStderr(t, func() {
+		if got := run([]string{"-span", "-quiet", "-read", "//C", "-insert", "/*/B", "-x", "<C/>"}); got != 2 {
+			t.Errorf("-span: exit %d, want 2 (unknown flag)", got)
+		}
+	})
 	out := captureStderr(t, func() {
-		if got := run([]string{"-span", "-quiet", "-read", "/a[q]/b", "-insert", "/a", "-x", "<b/>", "-max", "4"}); got != 1 {
+		if got := run([]string{"-trace", "-quiet", "-read", "/a[q]/b", "-insert", "/a", "-x", "<b/>", "-max", "4"}); got != 1 {
 			t.Errorf("exit %d, want 1", got)
 		}
 	})
 	if !strings.Contains(out, "trace ") || !strings.Contains(out, "xconflict") {
 		t.Fatalf("no trace header in span output:\n%s", out)
 	}
-	if !strings.Contains(out, "detect ") {
-		t.Fatalf("no detect span in span output:\n%s", out)
+	if !strings.Contains(out, "detect ") || !strings.Contains(out, "method=search") {
+		t.Fatalf("no search-method detect span in span output:\n%s", out)
 	}
 	if !strings.Contains(out, "search ") || !strings.Contains(out, "candidates=") {
 		t.Fatalf("no search span with budget spend in span output:\n%s", out)
+	}
+}
+
+func TestShrinkIsObserved(t *testing.T) {
+	// -shrink reports through the command's channels: the -stats
+	// snapshot, taken at exit, counts the shrink, and -trace shows its
+	// span.
+	out := captureStderr(t, func() {
+		stdout := os.Stdout
+		devnull, _ := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+		os.Stdout = devnull
+		defer func() { os.Stdout = stdout; devnull.Close() }()
+		if got := run([]string{"-shrink", "-stats", "-trace", "-read", "//C", "-insert", "/*/B", "-x", "<C/>"}); got != 1 {
+			t.Errorf("exit %d, want 1", got)
+		}
+	})
+	for _, want := range []string{"shrink.calls", "shrink +", "reparent_steps="} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("-shrink output missing %q:\n%s", want, out)
+		}
 	}
 }
 

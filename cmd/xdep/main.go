@@ -27,6 +27,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -49,7 +50,7 @@ func run(args []string) int {
 	deadline := fs.Duration("deadline", 0, "wall-clock budget for the analysis; pairs searched past it are conservatively assumed dependent (reason \"deadline\")")
 	exec := fs.Bool("run", false, "also execute the program")
 	optimize := fs.Bool("O", false, "apply hoisting and CSE, print the rewritten program")
-	trace := fs.Bool("trace", false, "stream JSON-lines decision-trace events to stderr")
+	trace := fs.Bool("trace", false, "print the span tree of the analysis (each pair's cache disposition, method choice and search spend) to stderr at exit")
 	stats := fs.Bool("stats", false, "print a telemetry counter snapshot to stderr afterwards")
 	progress := fs.Bool("progress", false, "report live search progress on stderr")
 	listen := fs.String("listen", "", "serve /metrics, /debug/pprof, and health probes on this address while running")
@@ -105,11 +106,16 @@ func run(args []string) int {
 		defer obs.Close()
 		fmt.Fprintf(os.Stderr, "xdep: observability on http://%s\n", addr)
 	}
-	if *trace {
-		search = search.WithTracer(xmlconflict.NewJSONTracer(os.Stderr))
-	}
 	if *progress {
 		search = search.WithProgress(xmlconflict.NewProgressWriter(os.Stderr, 0))
+	}
+	if *trace {
+		ctx, tr := xmlconflict.StartTrace(context.Background(), "xdep")
+		search = search.WithContext(ctx)
+		defer func() {
+			tr.Finish()
+			tr.View().WriteTree(os.Stderr)
+		}()
 	}
 	workers := *jobs
 	if workers <= 0 {
@@ -132,7 +138,7 @@ func run(args []string) int {
 		return 2
 	}
 	if st != nil {
-		defer fmt.Fprint(os.Stderr, st.Snapshot())
+		defer func() { fmt.Fprint(os.Stderr, st.Snapshot()) }()
 	}
 	fmt.Print(analysis.Report())
 	fmt.Println("parallel schedule (statements per concurrent stage):")

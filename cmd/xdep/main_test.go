@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -107,5 +111,85 @@ func TestMaxInputFlag(t *testing.T) {
 	}()
 	if code := run([]string{"-max-input", "8"}); code != 2 {
 		t.Fatalf("oversized stdin accepted: exit = %d", code)
+	}
+}
+
+// stderrOf runs fn with stdout discarded and stderr captured, and
+// returns what fn wrote to stderr.
+func stderrOf(t *testing.T, fn func()) string {
+	t.Helper()
+	oldOut, oldErr := os.Stdout, os.Stderr
+	devnull, _ := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout, os.Stderr = devnull, w
+	done := make(chan string)
+	go func() {
+		var buf bytes.Buffer
+		io.Copy(&buf, r)
+		done <- buf.String()
+	}()
+	fn()
+	w.Close()
+	devnull.Close()
+	os.Stdout, os.Stderr = oldOut, oldErr
+	return <-done
+}
+
+func TestTraceFlag(t *testing.T) {
+	// -trace prints the analysis's span tree at exit: each pair's cache
+	// disposition, the detect span's method choice, and the linear
+	// detector's per-edge decisions.
+	path := writeProgram(t, goodProgram)
+	out := stderrOf(t, func() {
+		if code := run([]string{"-trace", path}); code != 0 {
+			t.Errorf("exit = %d", code)
+		}
+	})
+	for _, want := range []string{"trace ", "xdep", "detect.cached", "disposition=miss", "method=linear", "· linear.edge"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("-trace output missing %q:\n%s", want, out)
+		}
+	}
+
+	// A program with more pairs than the trace's span cap holds says how
+	// many spans it dropped.
+	var big strings.Builder
+	big.WriteString("x = doc <x/>\n")
+	for i := 0; i < 30; i++ {
+		fmt.Fprintf(&big, "r%d = read $x/a%d\n", i, i)
+	}
+	for i := 0; i < 10; i++ {
+		fmt.Fprintf(&big, "insert $x/b%d, <c/>\n", i)
+	}
+	path = writeProgram(t, big.String())
+	out = stderrOf(t, func() {
+		if code := run([]string{"-trace", path}); code != 0 {
+			t.Errorf("exit = %d", code)
+		}
+	})
+	if !strings.Contains(out, "spans dropped by cap") {
+		t.Fatalf("capped trace does not report its drops:\n%.2000s", out)
+	}
+}
+
+func TestStatsAtExit(t *testing.T) {
+	// The -stats snapshot is taken at exit, so it includes the -O
+	// re-analysis, whose pairs all hit the shared verdict cache.
+	out := stderrOf(t, func() {
+		if code := run([]string{"-stats", "-O", "../../examples/testdata/section1.xup"}); code != 0 {
+			t.Errorf("exit = %d", code)
+		}
+	})
+	hits := ""
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "detector_cache.hits" {
+			hits = f[1]
+		}
+	}
+	if hits != "3" {
+		t.Fatalf("detector_cache.hits = %q, want 3 (analysis + -O re-analysis):\n%s", hits, out)
 	}
 }

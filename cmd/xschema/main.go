@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -33,7 +34,7 @@ func run(args []string) int {
 	schemaPath := fs.String("s", "", "schema file (required)")
 	maxNodes := fs.Int("max", 8, "search bound for preserve/conflict")
 	maxCand := fs.Int("candidates", 100_000, "candidate cap for preserve/conflict")
-	trace := fs.Bool("trace", false, "stream JSON-lines decision-trace events to stderr")
+	trace := fs.Bool("trace", false, "print the span tree of the conflict check (static prune or search spend) to stderr at exit")
 	stats := fs.Bool("stats", false, "print a telemetry counter snapshot to stderr afterwards")
 	progress := fs.Bool("progress", false, "report live search progress on stderr")
 	listen := fs.String("listen", "", "serve /metrics, /debug/pprof, and health probes on this address while running")
@@ -74,11 +75,16 @@ func run(args []string) int {
 		defer obs.Close()
 		fmt.Fprintf(os.Stderr, "xschema: observability on http://%s\n", addr)
 	}
-	if *trace {
-		opts = opts.WithTracer(xmlconflict.NewJSONTracer(os.Stderr))
-	}
 	if *progress {
 		opts = opts.WithProgress(xmlconflict.NewProgressWriter(os.Stderr, 0))
+	}
+	if *trace {
+		ctx, tr := xmlconflict.StartTrace(context.Background(), "xschema")
+		opts = opts.WithContext(ctx)
+		defer func() {
+			tr.Finish()
+			tr.View().WriteTree(os.Stderr)
+		}()
 	}
 
 	rest := fs.Args()

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -147,5 +148,48 @@ func TestUsageErrors(t *testing.T) {
 	withIO(t, "", func() { code = run([]string{"-s", bad, "validate"}) })
 	if code != 2 {
 		t.Errorf("bad schema: exit %d", code)
+	}
+}
+
+func TestTraceFlag(t *testing.T) {
+	// -trace prints the conflict check's span tree at exit, for both
+	// outcomes: a static prune, and a search over valid trees.
+	sf := schemaFile(t)
+	cases := []struct {
+		args []string
+		code int
+		want []string
+	}{
+		{[]string{"-s", sf, "-trace", "conflict", "//book/low", "delete", "//book"}, 0,
+			[]string{"trace ", "xschema", "detect ", "method=schema-static", "detail="}},
+		{[]string{"-s", sf, "-max", "6", "-trace", "conflict", "//book/quantity", "delete", "//book[.//low]"}, 1,
+			[]string{"method=schema-search", "conflict=true", "search ", "schema=true", "candidates="}},
+	}
+	for _, c := range cases {
+		oldErr := os.Stderr
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		os.Stderr = w
+		done := make(chan string)
+		go func() {
+			var buf bytes.Buffer
+			io.Copy(&buf, r)
+			done <- buf.String()
+		}()
+		var code int
+		withIO(t, "", func() { code = run(c.args) })
+		w.Close()
+		os.Stderr = oldErr
+		out := <-done
+		if code != c.code {
+			t.Fatalf("run(%v) = %d, want %d", c.args, code, c.code)
+		}
+		for _, want := range c.want {
+			if !strings.Contains(out, want) {
+				t.Fatalf("run(%v): -trace output missing %q:\n%s", c.args, want, out)
+			}
+		}
 	}
 }

@@ -1,9 +1,10 @@
 // Observe: watching the NP-case witness search work. A branching read
 // pattern forces Detect into the bounded exhaustive search (Section 5 of
-// the paper); attaching the telemetry channels of the observability
-// facade shows the search's progress live, streams its decision-trace
-// events, and ends with a counter snapshot — candidates examined,
-// compiled-pattern cache traffic, minimization savings.
+// the paper); attaching the observability channels of the facade shows
+// the search's progress live, ends with a counter snapshot — candidates
+// examined, compiled-pattern cache traffic, minimization savings — and
+// prints the span tree that records the decisions: the method chosen,
+// the Lemma 11 bound, and the candidate budget spent.
 //
 // Run with:
 //
@@ -11,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -27,20 +29,23 @@ func main() {
 	del := xmlconflict.Delete{P: xmlconflict.MustParseXPath("z/w")}
 
 	st := xmlconflict.NewStats()
-	tracer := xmlconflict.NewTextTracer(os.Stderr)
 	progress := xmlconflict.NewProgressWriter(os.Stderr, 100*time.Millisecond)
+	ctx, trace := xmlconflict.StartTrace(context.Background(), "observe")
 
 	opts := xmlconflict.SearchOptions{MaxNodes: 7, MaxCandidates: 200_000}.
 		WithStats(st).
-		WithTracer(tracer).
-		WithProgress(progress)
+		WithProgress(progress).
+		WithContext(ctx)
 
 	v, err := xmlconflict.Detect(read, del, xmlconflict.NodeSemantics, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
+	trace.Finish()
 	fmt.Printf("\nverdict: %s\n", v)
 	fmt.Printf("candidates examined: %d\n\n", v.Candidates)
 	fmt.Println("final stats snapshot:")
 	fmt.Print(st.Snapshot())
+	fmt.Println("\nspan tree:")
+	trace.View().WriteTree(os.Stdout)
 }

@@ -2,11 +2,13 @@ package xmlconflict_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
 
 	"xmlconflict"
+	"xmlconflict/internal/telemetry/span"
 )
 
 // TestFacadeEndToEnd exercises every entry point of the public API once,
@@ -174,9 +176,21 @@ func TestFacadeConstantsAndAliases(t *testing.T) {
 	}
 }
 
+// findSpans collects every span of the tree named name, depth-first.
+func findSpans(v span.SpanView, name string) []span.SpanView {
+	var out []span.SpanView
+	if v.Name == name {
+		out = append(out, v)
+	}
+	for _, c := range v.Children {
+		out = append(out, findSpans(c, name)...)
+	}
+	return out
+}
+
 // TestObservabilityFacade exercises the telemetry surface end to end:
-// stats, JSON and text tracers, progress reporting, the parallel
-// searcher's deterministic witness, and observed shrinking.
+// stats, span traces, progress reporting, the parallel searcher's
+// deterministic witness, and observed shrinking.
 func TestObservabilityFacade(t *testing.T) {
 	read := xmlconflict.Read{P: xmlconflict.MustParseXPath("a[q]/b")}
 	ins := xmlconflict.Insert{
@@ -184,23 +198,31 @@ func TestObservabilityFacade(t *testing.T) {
 		X: xmlconflict.MustParseXML("<b/>"),
 	}
 
-	var jsonBuf, textBuf, progBuf bytes.Buffer
+	var treeBuf, progBuf bytes.Buffer
 	st := xmlconflict.NewStats()
 	var updates []xmlconflict.ProgressUpdate
+	ctx, tr := xmlconflict.StartTrace(context.Background(), "facade")
 	opts := xmlconflict.SearchOptions{MaxNodes: 4}.
 		WithStats(st).
-		WithTracer(xmlconflict.NewJSONTracer(&jsonBuf)).
+		WithContext(ctx).
 		WithProgress(xmlconflict.NewProgress(func(u xmlconflict.ProgressUpdate) { updates = append(updates, u) }, 0))
 
 	v, err := xmlconflict.Detect(read, ins, xmlconflict.NodeSemantics, opts)
 	if err != nil || !v.Conflict || v.Candidates == 0 {
 		t.Fatalf("detect: %+v %v", v, err)
 	}
-	for _, line := range strings.Split(strings.TrimSpace(jsonBuf.String()), "\n") {
-		var ev map[string]any
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("trace line not JSON: %q: %v", line, err)
-		}
+	tr.Finish()
+	view := tr.View()
+	if _, err := json.Marshal(view); err != nil {
+		t.Fatalf("trace view does not serialize: %v", err)
+	}
+	det := findSpans(view.Root, "detect")
+	if len(det) != 1 || det[0].Attrs["method"] != "search" || det[0].Attrs["read_linear"] != false {
+		t.Fatalf("detect span: %+v", det)
+	}
+	srch := findSpans(det[0], "search")
+	if len(srch) != 1 || srch[0].Attrs["candidates"] != v.Candidates || srch[0].Attrs["bound"] == nil {
+		t.Fatalf("search span: %+v (verdict %d candidates)", srch, v.Candidates)
 	}
 	if snap := st.Snapshot(); snap.Counter("search.candidates") != int64(v.Candidates) {
 		t.Fatalf("stats/verdict disagree: %d vs %d", snap.Counter("search.candidates"), v.Candidates)
@@ -209,28 +231,36 @@ func TestObservabilityFacade(t *testing.T) {
 		t.Fatalf("progress updates: %+v", updates)
 	}
 
-	// Text tracer and progress writer render one line per event/report.
+	// The tree renderer and progress writer render one line per span or
+	// event and per report.
+	view.WriteTree(&treeBuf)
 	textOpts := xmlconflict.SearchOptions{MaxNodes: 4}.
-		WithTracer(xmlconflict.NewTextTracer(&textBuf)).
 		WithProgress(xmlconflict.NewProgressWriter(&progBuf, 0))
 	if _, err := xmlconflict.Detect(read, ins, xmlconflict.NodeSemantics, textOpts); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(textBuf.String(), "search.start") || !strings.Contains(progBuf.String(), "search:") {
-		t.Fatalf("text outputs missing:\n%s\n%s", textBuf.String(), progBuf.String())
+	if !strings.Contains(treeBuf.String(), "search +") || !strings.Contains(progBuf.String(), "search:") {
+		t.Fatalf("text outputs missing:\n%s\n%s", treeBuf.String(), progBuf.String())
 	}
 
-	// DetectParallel returns the canonical (sequential) witness.
+	// DetectParallel returns the canonical (sequential) witness; its
+	// search span says where that witness sits in the enumeration.
 	seq, err := xmlconflict.Detect(read, ins, xmlconflict.NodeSemantics, xmlconflict.SearchOptions{MaxNodes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := xmlconflict.DetectParallel(read, ins, xmlconflict.NodeSemantics, xmlconflict.SearchOptions{MaxNodes: 4}, 4)
+	pctx, ptr := xmlconflict.StartTrace(context.Background(), "parallel")
+	par, err := xmlconflict.DetectParallel(read, ins, xmlconflict.NodeSemantics, xmlconflict.SearchOptions{MaxNodes: 4}.WithContext(pctx), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !par.Conflict || !xmlconflict.Isomorphic(seq.Witness, par.Witness) {
 		t.Fatalf("parallel witness not canonical: seq %s par %s", seq.Witness, par.Witness)
+	}
+	ptr.Finish()
+	ps := findSpans(ptr.View().Root, "search")
+	if len(ps) != 1 || ps[0].Attrs["witness_seq"] != int64(seq.Candidates) || ps[0].Attrs["raced_past"] == nil {
+		t.Fatalf("parallel search span: %+v (sequential witness at %d)", ps, seq.Candidates)
 	}
 
 	// Observed shrinking reports through the same channels.
@@ -241,11 +271,18 @@ func TestObservabilityFacade(t *testing.T) {
 		t.Fatalf("linear detect: %+v %v", lv, err)
 	}
 	sst := xmlconflict.NewStats()
-	if _, err := xmlconflict.ShrinkWitnessObserved(lv.Witness, lread, lins,
-		xmlconflict.SearchOptions{}.WithStats(sst)); err != nil {
+	sctx, str := xmlconflict.StartTrace(context.Background(), "observed-shrink")
+	shrunk, err := xmlconflict.ShrinkWitnessObserved(lv.Witness, lread, lins,
+		xmlconflict.SearchOptions{}.WithStats(sst).WithContext(sctx))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if sst.Snapshot().Counter("shrink.calls") != 1 {
 		t.Fatalf("shrink not counted: %s", sst.Snapshot())
+	}
+	str.Finish()
+	sh := findSpans(str.View().Root, "shrink")
+	if len(sh) != 1 || sh[0].Attrs["nodes_before"] != lv.Witness.Size() || sh[0].Attrs["nodes_after"] != shrunk.Size() {
+		t.Fatalf("shrink span: %+v", sh)
 	}
 }

@@ -145,19 +145,6 @@ func TestChaosCacheLeaderPanicReleasesWaiters(t *testing.T) {
 	}
 }
 
-// cancelingTracer cancels a context the first time the traced search
-// starts, giving a deterministic mid-batch cancellation point.
-type cancelingTracer struct {
-	once   sync.Once
-	cancel context.CancelFunc
-}
-
-func (c *cancelingTracer) Event(name string, fields ...telemetry.Field) {
-	if name == "search.start" {
-		c.once.Do(c.cancel)
-	}
-}
-
 // TestChaosMidBatchCancelPartialResults: a batch canceled partway
 // through returns well-formed partial results — every slot is populated,
 // undispatched items carry the canceled reason, and the batch error is
@@ -166,11 +153,14 @@ func TestChaosMidBatchCancelPartialResults(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	items := chaosItems(t, 4)
+	// Item 0's search delivers the first progress report (a step or its
+	// final report) after the batch dispatched it, and that report
+	// cancels: a deterministic mid-batch cancellation point.
 	opts := SearchOptions{
 		MaxNodes:      4,
 		MaxCandidates: 500,
 		Ctx:           ctx,
-		Tracer:        &cancelingTracer{cancel: cancel},
+		Progress:      telemetry.NewProgress(func(telemetry.Update) { cancel() }, time.Nanosecond),
 	}
 	results, err := DetectBatchResults(items, opts, 1, nil)
 	if err == nil || !errors.Is(err, context.Canceled) {

@@ -6,7 +6,6 @@ import (
 	"xmlconflict/internal/faultinject"
 	"xmlconflict/internal/ops"
 	"xmlconflict/internal/pattern"
-	"xmlconflict/internal/telemetry"
 	"xmlconflict/internal/telemetry/span"
 	"xmlconflict/internal/xmltree"
 )
@@ -98,17 +97,8 @@ func Detect(r ops.Read, u ops.Update, sem ops.Semantics, opts SearchOptions) (Ve
 	if linear {
 		method = "linear"
 	}
-	in.event("detect.method",
-		telemetry.F("method", method),
-		telemetry.F("kind", u.Kind()),
-		telemetry.F("semantics", sem.String()),
-		telemetry.F("read_linear", linear),
-		telemetry.F("read_size", r.P.Size()),
-		telemetry.F("update_size", u.Pattern().Size()))
-	sp := span.FromContext(opts.Ctx).Child("detect")
+	sp := StartDetectSpan(opts.Ctx, method, r, u, sem)
 	if sp != nil {
-		sp.Set("kind", u.Kind())
-		sp.Set("semantics", sem.String())
 		// Nest the search under the detect span.
 		opts.Ctx = span.Context(opts.Ctx, sp)
 	}
@@ -117,40 +107,21 @@ func Detect(r ops.Read, u ops.Update, sem ops.Semantics, opts SearchOptions) (Ve
 	if linear {
 		switch u := u.(type) {
 		case ops.Insert:
-			v, err = readInsertLinearI(r.P, u, sem, in)
+			v, err = readInsertLinearI(r.P, u, sem, in, sp)
 		case ops.Delete:
-			v, err = readDeleteLinearI(r.P, u, sem, in)
+			v, err = readDeleteLinearI(r.P, u, sem, in, sp)
 		case *ops.Insert:
-			v, err = readInsertLinearI(r.P, *u, sem, in)
+			v, err = readInsertLinearI(r.P, *u, sem, in, sp)
 		case *ops.Delete:
-			v, err = readDeleteLinearI(r.P, *u, sem, in)
+			v, err = readDeleteLinearI(r.P, *u, sem, in, sp)
 		default:
 			v, err = SearchConflict(r, u, sem, opts)
 		}
 	} else {
 		v, err = SearchConflict(r, u, sem, opts)
 	}
-	endDetectSpan(sp, v, err)
-	if err != nil {
-		return v, err
-	}
-	fields := []telemetry.Field{
-		telemetry.F("conflict", v.Conflict),
-		telemetry.F("method", v.Method),
-		telemetry.F("complete", v.Complete),
-		telemetry.F("candidates", v.Candidates),
-	}
-	if v.Reason != "" {
-		fields = append(fields, telemetry.F("reason", v.Reason))
-	}
-	if v.Detail != "" {
-		fields = append(fields, telemetry.F("detail", v.Detail))
-	}
-	if v.Witness != nil {
-		fields = append(fields, telemetry.F("witness_nodes", v.Witness.Size()))
-	}
-	in.event("detect.verdict", fields...)
-	return v, nil
+	EndDetectSpan(sp, v, err)
+	return v, err
 }
 
 // verifyWitness re-checks a constructed witness with the Lemma 1 checker.

@@ -6,23 +6,22 @@ import (
 	"xmlconflict/internal/telemetry"
 )
 
-// instr bundles the per-call instrumentation channels drawn from
-// SearchOptions. The nil *instr is fully disabled and every method is
-// nil-safe, so instrumented hot paths pay a single pointer check per
-// event site when telemetry is off.
+// instr bundles the per-call counter and progress channels drawn from
+// SearchOptions (decisions go to spans, see spans.go). The nil *instr is
+// fully disabled and every method is nil-safe, so instrumented hot paths
+// pay a single pointer check per site when telemetry is off.
 type instr struct {
 	m  *telemetry.Metrics
-	tr telemetry.Tracer
 	pr *telemetry.Progress
 }
 
 // observer extracts the instrumentation bundle from opts, or nil when
 // every channel is disabled.
 func observer(opts SearchOptions) *instr {
-	if opts.Stats == nil && opts.Tracer == nil && opts.Progress == nil {
+	if opts.Stats == nil && opts.Progress == nil {
 		return nil
 	}
-	return &instr{m: opts.Stats, tr: opts.Tracer, pr: opts.Progress}
+	return &instr{m: opts.Stats, pr: opts.Progress}
 }
 
 func (in *instr) metrics() *telemetry.Metrics {
@@ -51,12 +50,6 @@ func (in *instr) timer(name string) func() {
 	return in.m.Timer(name).Start()
 }
 
-func (in *instr) event(name string, fields ...telemetry.Field) {
-	if in != nil {
-		telemetry.Emit(in.tr, name, fields...)
-	}
-}
-
 func (in *instr) progressStart(phase string, total int64) {
 	if in != nil {
 		in.pr.Start(phase, total)
@@ -82,12 +75,6 @@ func (o SearchOptions) WithStats(st *telemetry.Metrics) SearchOptions {
 	return o
 }
 
-// WithTracer returns a copy of o emitting decision-trace events to t.
-func (o SearchOptions) WithTracer(t telemetry.Tracer) SearchOptions {
-	o.Tracer = t
-	return o
-}
-
 // WithProgress returns a copy of o delivering throttled search-progress
 // reports to p.
 func (o SearchOptions) WithProgress(p *telemetry.Progress) SearchOptions {
@@ -97,7 +84,7 @@ func (o SearchOptions) WithProgress(p *telemetry.Progress) SearchOptions {
 
 // WithContext returns a copy of o whose searches are canceled when ctx
 // is: the candidate enumerations poll ctx between candidates and return
-// its error instead of a verdict.
+// its error instead of a verdict. A span in ctx records the decisions.
 func (o SearchOptions) WithContext(ctx context.Context) SearchOptions {
 	o.Ctx = ctx
 	return o

@@ -1,21 +1,39 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"xmlconflict/internal/ops"
 	"xmlconflict/internal/telemetry"
+	"xmlconflict/internal/telemetry/span"
 	"xmlconflict/internal/xpath"
 )
+
+// traced returns opts carrying the root span of a fresh trace.
+func traced(opts SearchOptions) (SearchOptions, *span.Trace) {
+	tr := span.New("test")
+	return opts.WithContext(span.Context(context.Background(), tr.Root())), tr
+}
+
+// onlySpan returns the single span named name in the finished trace.
+func onlySpan(t *testing.T, tr *span.Trace, name string) span.SpanView {
+	t.Helper()
+	tr.Finish()
+	got := findSpans(tr.View().Root, name)
+	if len(got) != 1 {
+		t.Fatalf("%s spans = %d, want 1", name, len(got))
+	}
+	return got[0]
+}
 
 func TestSearchConflictTelemetry(t *testing.T) {
 	r := ops.Read{P: xpath.MustParse("a[q]/b")}
 	ins := mustInsert("a", "<b/>")
 	st := telemetry.New()
-	rec := telemetry.NewRecorder()
 	var updates []telemetry.Update
 	pr := telemetry.NewProgress(func(u telemetry.Update) { updates = append(updates, u) }, 0)
-	opts := SearchOptions{MaxNodes: 4}.WithStats(st).WithTracer(rec).WithProgress(pr)
+	opts, tr := traced(SearchOptions{MaxNodes: 4}.WithStats(st).WithProgress(pr))
 	v, err := SearchConflict(r, ins, ops.NodeSemantics, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -40,22 +58,16 @@ func TestSearchConflictTelemetry(t *testing.T) {
 		t.Fatalf("search.time timer missing or wrong: %+v", snap.Timers)
 	}
 
-	start, ok := rec.First("search.start")
-	if !ok {
-		t.Fatalf("no search.start event: %v", rec.Names())
+	// The search span carries the bounds the sweep ran under and its
+	// spend.
+	s := onlySpan(t, tr, "search")
+	for _, key := range []string{"bound", "max_nodes", "max_candidates", "alphabet"} {
+		if _, ok := s.Attrs[key]; !ok {
+			t.Fatalf("search span missing %q: %+v", key, s.Attrs)
+		}
 	}
-	if start.Field("bound") == nil || start.Field("alphabet") == nil {
-		t.Fatalf("search.start missing fields: %+v", start)
-	}
-	done, ok := rec.First("search.done")
-	if !ok {
-		t.Fatalf("no search.done event: %v", rec.Names())
-	}
-	if done.Field("conflict") != true {
-		t.Fatalf("search.done conflict field: %+v", done)
-	}
-	if done.Field("candidates") != v.Candidates {
-		t.Fatalf("search.done candidates %v != verdict %d", done.Field("candidates"), v.Candidates)
+	if s.Attrs["conflict"] != true || s.Attrs["candidates"] != v.Candidates || s.Attrs["witness_nodes"] != v.Witness.Size() {
+		t.Fatalf("search span outcome %+v, verdict %+v", s.Attrs, v)
 	}
 
 	if len(updates) == 0 {
@@ -71,8 +83,8 @@ func TestDetectTelemetryLinear(t *testing.T) {
 	r := ops.Read{P: xpath.MustParse("//C")}
 	ins := mustInsert("/*/B", "<C/>")
 	st := telemetry.New()
-	rec := telemetry.NewRecorder()
-	v, err := Detect(r, ins, ops.NodeSemantics, SearchOptions{}.WithStats(st).WithTracer(rec))
+	opts, tr := traced(SearchOptions{}.WithStats(st))
+	v, err := Detect(r, ins, ops.NodeSemantics, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,17 +94,34 @@ func TestDetectTelemetryLinear(t *testing.T) {
 	if v.Candidates != 0 {
 		t.Fatalf("linear verdicts examine no candidates, got %d", v.Candidates)
 	}
-	m, ok := rec.First("detect.method")
-	if !ok || m.Field("method") != "linear" || m.Field("read_linear") != true {
-		t.Fatalf("detect.method event wrong: %+v (%v)", m, rec.Names())
+	d := onlySpan(t, tr, "detect")
+	want := map[string]any{
+		"method":      "linear",
+		"kind":        "insert",
+		"semantics":   "node",
+		"read_linear": true,
+		"read_size":   r.P.Size(),
+		"update_size": ins.P.Size(),
+		"conflict":    true,
+		"complete":    true,
+		"detail":      v.Detail,
 	}
-	verdict, ok := rec.First("detect.verdict")
-	if !ok || verdict.Field("conflict") != true || verdict.Field("candidates") != 0 {
-		t.Fatalf("detect.verdict event wrong: %+v", verdict)
+	for k, w := range want {
+		if d.Attrs[k] != w {
+			t.Fatalf("detect span %s = %v, want %v (%+v)", k, d.Attrs[k], w, d.Attrs)
+		}
 	}
-	edge, ok := rec.First("linear.edge")
-	if !ok || edge.Field("cut") == nil {
-		t.Fatalf("no linear.edge cut decision traced: %v", rec.Names())
+	if _, ok := d.Attrs["candidates"]; ok {
+		t.Fatalf("linear detect span reports candidates: %+v", d.Attrs)
+	}
+	var cut *span.EventView
+	for i, e := range d.Events {
+		if e.Name == "linear.edge" && e.Attrs["cut"] == true {
+			cut = &d.Events[i]
+		}
+	}
+	if cut == nil || cut.Attrs["edge"] != v.Edge || cut.Attrs["word_len"] != len(v.Word) || cut.Attrs["axis"] == nil {
+		t.Fatalf("no linear.edge event recording the cut edge %d: %+v", v.Edge, d.Events)
 	}
 	snap := st.Snapshot()
 	if snap.Counter("detect.calls") != 1 || snap.Counter("linear.edges_checked") == 0 {
@@ -103,6 +132,27 @@ func TestDetectTelemetryLinear(t *testing.T) {
 	}
 	if snap.Counter("linear.cut_edges") == 0 {
 		t.Fatalf("conflicting pair must record a cut edge: %s", snap)
+	}
+}
+
+func TestDetectLinearEdgeWhy(t *testing.T) {
+	// A non-conflicting linear delete: every read edge is decided "no
+	// cut", each with its reason.
+	r := ops.Read{P: xpath.MustParse("/a/b/c")}
+	d := ops.Delete{P: xpath.MustParse("/x/y")}
+	opts, tr := traced(SearchOptions{})
+	v, err := Detect(r, d, ops.NodeSemantics, opts)
+	if err != nil || v.Conflict {
+		t.Fatalf("detect: %+v %v", v, err)
+	}
+	det := onlySpan(t, tr, "detect")
+	if len(det.Events) != 2 {
+		t.Fatalf("linear.edge events = %d, want one per read edge (2): %+v", len(det.Events), det.Events)
+	}
+	for i, e := range det.Events {
+		if e.Name != "linear.edge" || e.Attrs["edge"] != i+1 || e.Attrs["cut"] != false || e.Attrs["why"] == nil {
+			t.Fatalf("edge %d event = %+v", i+1, e)
+		}
 	}
 }
 
@@ -120,8 +170,8 @@ func TestShrinkWitnessTelemetry(t *testing.T) {
 		n = w.AddChild(n, "pad")
 	}
 	st := telemetry.New()
-	rec := telemetry.NewRecorder()
-	shrunk, err := ShrinkWitnessObserved(w, r, ins, SearchOptions{}.WithStats(st).WithTracer(rec))
+	opts, tr := traced(SearchOptions{}.WithStats(st))
+	shrunk, err := ShrinkWitnessObserved(w, r, ins, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +183,9 @@ func TestShrinkWitnessTelemetry(t *testing.T) {
 		snap.Counter("shrink.nodes_after") != int64(shrunk.Size()) {
 		t.Fatalf("shrink size counters wrong: %s (before=%d after=%d)", snap, w.Size(), shrunk.Size())
 	}
-	done, ok := rec.First("shrink.done")
-	if !ok || done.Field("marked") == nil {
-		t.Fatalf("shrink.done event missing: %v", rec.Names())
+	s := onlySpan(t, tr, "shrink")
+	if s.Attrs["nodes_before"] != w.Size() || s.Attrs["nodes_after"] != shrunk.Size() ||
+		s.Attrs["marked"] != int(snap.Counter("shrink.marked_nodes")) || s.Attrs["reparent_steps"] == nil {
+		t.Fatalf("shrink span %+v (before=%d after=%d)", s.Attrs, w.Size(), shrunk.Size())
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"xmlconflict/internal/containment"
 	"xmlconflict/internal/ops"
-	"xmlconflict/internal/telemetry"
 	"xmlconflict/internal/xmltree"
 )
 
@@ -24,12 +23,13 @@ import (
 // to a witness the one with the smallest sequence number — the canonically
 // first, i.e. the very tree the sequential search would return — wins.
 // Candidates raced past (skipped because a canonically earlier witness was
-// already in hand) are counted in the verdict Detail and, when telemetry
-// is enabled, in the search.parallel.raced_past counter. The number of
-// candidates examined before the enumeration halts may still vary from run
-// to run; the verdict itself does not. Completeness semantics are
-// identical: a negative verdict is complete iff every candidate up to the
-// bound was checked.
+// already in hand) are counted in the verdict Detail, in the
+// search.parallel.raced_past counter, and on the search span as
+// raced_past next to the witness's witness_seq. The number of candidates
+// examined before the enumeration halts may still vary from run to run;
+// the verdict itself does not. Completeness semantics are identical: a
+// negative verdict is complete iff every candidate up to the bound was
+// checked.
 func SearchConflictParallel(r ops.Read, u ops.Update, sem ops.Semantics, opts SearchOptions, workers int) (verdict Verdict, rerr error) {
 	in := observer(opts)
 	defer in.timer("search.time")()
@@ -51,14 +51,8 @@ func SearchConflictParallel(r ops.Read, u ops.Update, sem ops.Semantics, opts Se
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	in.event("search.start",
-		telemetry.F("bound", bound),
-		telemetry.F("max_nodes", maxNodes),
-		telemetry.F("max_candidates", maxCand),
-		telemetry.F("alphabet", len(labels)),
-		telemetry.F("workers", workers))
 	sp := startSearchSpan(opts, bound, maxNodes, maxCand, len(labels), workers)
-	defer func() { endSearchSpan(sp, verdict, rerr) }()
+	defer func() { EndSearchSpan(sp, verdict, rerr) }()
 	in.progressStart("search", int64(maxCand))
 
 	// Skeletons, not built trees, cross the channel: the build cost runs
@@ -199,13 +193,13 @@ func SearchConflictParallel(r ops.Read, u ops.Update, sem ops.Semantics, opts Se
 			Candidates: int(examined),
 		}, ctxErr
 	}
+	if sp != nil {
+		sp.Set("raced_past", racedPast.Load())
+		if bestWitness != nil {
+			sp.Set("witness_seq", bestSeq.Load())
+		}
+	}
 	if bestWitness != nil {
-		in.event("search.done",
-			telemetry.F("conflict", true),
-			telemetry.F("candidates", examined),
-			telemetry.F("witness_nodes", bestWitness.Size()),
-			telemetry.F("witness_seq", bestSeq.Load()),
-			telemetry.F("raced_past", racedPast.Load()))
 		return Verdict{
 			Conflict: true,
 			Witness:  bestWitness,
@@ -221,11 +215,6 @@ func SearchConflictParallel(r ops.Read, u ops.Update, sem ops.Semantics, opts Se
 	if truncated {
 		in.count("search.truncated", 1)
 	}
-	in.event("search.done",
-		telemetry.F("conflict", false),
-		telemetry.F("candidates", examined),
-		telemetry.F("complete", complete),
-		telemetry.F("reason", reason))
 	detail := fmt.Sprintf("no witness among %d trees of <= %d nodes (%d workers)", examined, maxNodes, workers)
 	switch {
 	case truncated:

@@ -5,7 +5,7 @@ import (
 
 	"xmlconflict/internal/ops"
 	"xmlconflict/internal/pattern"
-	"xmlconflict/internal/telemetry"
+	"xmlconflict/internal/telemetry/span"
 	"xmlconflict/internal/xmltree"
 )
 
@@ -25,13 +25,14 @@ import (
 // the constructive halves of the proofs and re-verified with the Lemma 1
 // checker before being returned.
 func ReadDeleteLinear(r *pattern.Pattern, d ops.Delete, sem ops.Semantics) (Verdict, error) {
-	return readDeleteLinearI(r, d, sem, nil)
+	return readDeleteLinearI(r, d, sem, nil, nil)
 }
 
 // readDeleteLinearI is ReadDeleteLinear with instrumentation: per-edge
-// crossing decisions are counted and traced, and the automata products
-// behind each decision report their sizes.
-func readDeleteLinearI(r *pattern.Pattern, d ops.Delete, sem ops.Semantics, in *instr) (Verdict, error) {
+// crossing decisions are counted and recorded as events on the detect
+// span sp, and the automata products behind each decision report their
+// sizes.
+func readDeleteLinearI(r *pattern.Pattern, d ops.Delete, sem ops.Semantics, in *instr, sp *span.Span) (Verdict, error) {
 	if !r.IsLinear() {
 		return Verdict{}, fmt.Errorf("core: ReadDeleteLinear: read pattern %v is not linear", r)
 	}
@@ -67,11 +68,11 @@ func readDeleteLinearI(r *pattern.Pattern, d ops.Delete, sem ops.Semantics, in *
 			return Verdict{}, err
 		}
 		if !ok {
-			in.event("linear.edge", telemetry.F("edge", i), telemetry.F("axis", np.Axis().String()), telemetry.F("cut", false), telemetry.F("why", "delete spine does not reach the edge"))
+			edgeEvent(sp, i, np, "delete spine does not reach the edge", 0)
 			continue
 		}
 		in.count("linear.cut_edges", 1)
-		in.event("linear.edge", telemetry.F("edge", i), telemetry.F("axis", np.Axis().String()), telemetry.F("cut", true), telemetry.F("word_len", len(word)))
+		edgeEvent(sp, i, np, "", len(word))
 		w, err := buildDeleteWitness(word, r, i, d, fresh)
 		if err != nil {
 			return Verdict{}, err

@@ -6,7 +6,7 @@ import (
 	"xmlconflict/internal/match"
 	"xmlconflict/internal/ops"
 	"xmlconflict/internal/pattern"
-	"xmlconflict/internal/telemetry"
+	"xmlconflict/internal/telemetry/span"
 )
 
 // ReadInsertLinear decides whether READ_r conflicts with INSERT_{i.P, i.X}
@@ -23,13 +23,13 @@ import (
 // and value conflicts coincide with tree conflicts for linear patterns
 // (Lemma 2).
 func ReadInsertLinear(r *pattern.Pattern, ins ops.Insert, sem ops.Semantics) (Verdict, error) {
-	return readInsertLinearI(r, ins, sem, nil)
+	return readInsertLinearI(r, ins, sem, nil, nil)
 }
 
 // readInsertLinearI is ReadInsertLinear with instrumentation: per-edge
-// cut decisions are counted and traced, and the automata products behind
-// each decision report their sizes.
-func readInsertLinearI(r *pattern.Pattern, ins ops.Insert, sem ops.Semantics, in *instr) (Verdict, error) {
+// cut decisions are counted and recorded as events on the detect span
+// sp, and the automata products behind each decision report their sizes.
+func readInsertLinearI(r *pattern.Pattern, ins ops.Insert, sem ops.Semantics, in *instr, sp *span.Span) (Verdict, error) {
 	if !r.IsLinear() {
 		return Verdict{}, fmt.Errorf("core: ReadInsertLinear: read pattern %v is not linear", r)
 	}
@@ -55,14 +55,14 @@ func readInsertLinearI(r *pattern.Pattern, ins ops.Insert, sem ops.Semantics, in
 		if np.Axis() == pattern.Child {
 			in.count("linear.embed_attempts", 1)
 			if !match.EmbedsAt(tail, ins.X, ins.X.Root()) {
-				in.event("linear.edge", telemetry.F("edge", i), telemetry.F("axis", np.Axis().String()), telemetry.F("cut", false), telemetry.F("why", "tail does not embed at X root"))
+				edgeEvent(sp, i, np, "tail does not embed at X root", 0)
 				continue
 			}
 			word, ok, err = matchStrongI(ispine, prefix, fresh, in)
 		} else {
 			in.count("linear.embed_attempts", 1)
 			if !match.EmbedsAnywhere(tail, ins.X) {
-				in.event("linear.edge", telemetry.F("edge", i), telemetry.F("axis", np.Axis().String()), telemetry.F("cut", false), telemetry.F("why", "tail does not embed in X"))
+				edgeEvent(sp, i, np, "tail does not embed in X", 0)
 				continue
 			}
 			word, ok, err = matchWeakI(ispine, prefix, fresh, in)
@@ -71,11 +71,11 @@ func readInsertLinearI(r *pattern.Pattern, ins ops.Insert, sem ops.Semantics, in
 			return Verdict{}, err
 		}
 		if !ok {
-			in.event("linear.edge", telemetry.F("edge", i), telemetry.F("axis", np.Axis().String()), telemetry.F("cut", false), telemetry.F("why", "spines do not match"))
+			edgeEvent(sp, i, np, "spines do not match", 0)
 			continue
 		}
 		in.count("linear.cut_edges", 1)
-		in.event("linear.edge", telemetry.F("edge", i), telemetry.F("axis", np.Axis().String()), telemetry.F("cut", true), telemetry.F("word_len", len(word)))
+		edgeEvent(sp, i, np, "", len(word))
 		// Constructive half of Lemma 6: the chain spelled by the word ends
 		// at the insertion point u; models of the insert's off-spine
 		// subpatterns make the full insert pattern embed (Lemma 8); the

@@ -5,7 +5,7 @@ import (
 
 	"xmlconflict/internal/match"
 	"xmlconflict/internal/ops"
-	"xmlconflict/internal/telemetry"
+	"xmlconflict/internal/telemetry/span"
 	"xmlconflict/internal/xmltree"
 )
 
@@ -56,12 +56,20 @@ func ShrinkWitness(w *xmltree.Tree, r ops.Read, u ops.Update) (*xmltree.Tree, er
 	return ShrinkWitnessObserved(w, r, u, SearchOptions{})
 }
 
-// ShrinkWitnessObserved is ShrinkWitness reporting its work through the
-// telemetry channels of opts (Stats and Tracer; Progress is unused):
-// counters shrink.calls, shrink.marked_nodes, shrink.reparent_steps,
-// shrink.nodes_before, and shrink.nodes_after, plus one shrink.done trace
-// event summarizing the reduction.
-func ShrinkWitnessObserved(w *xmltree.Tree, r ops.Read, u ops.Update, opts SearchOptions) (*xmltree.Tree, error) {
+// ShrinkWitnessObserved is ShrinkWitness reporting its work through
+// opts: counters shrink.calls, shrink.marked_nodes, shrink.reparent_steps,
+// shrink.nodes_before, and shrink.nodes_after in Stats, and a "shrink"
+// child of the span in Ctx summarizing the reduction (nodes_before,
+// nodes_after, marked, reparent_steps). Progress is unused.
+func ShrinkWitnessObserved(w *xmltree.Tree, r ops.Read, u ops.Update, opts SearchOptions) (_ *xmltree.Tree, rerr error) {
+	sp := span.FromContext(opts.Ctx).Child("shrink")
+	if sp != nil {
+		sp.Set("nodes_before", w.Size())
+		defer func() {
+			sp.Fail(rerr)
+			sp.End()
+		}()
+	}
 	in := observer(opts)
 	in.count("shrink.calls", 1)
 	in.count("shrink.nodes_before", int64(w.Size()))
@@ -242,11 +250,11 @@ func ShrinkWitnessObserved(w *xmltree.Tree, r ops.Read, u ops.Update, opts Searc
 		return nil, err
 	}
 	in.count("shrink.nodes_after", int64(t.Size()))
-	in.event("shrink.done",
-		telemetry.F("nodes_before", w.Size()),
-		telemetry.F("nodes_after", t.Size()),
-		telemetry.F("marked", len(marked)),
-		telemetry.F("reparent_steps", reparents))
+	if sp != nil {
+		sp.Set("nodes_after", t.Size())
+		sp.Set("marked", len(marked))
+		sp.Set("reparent_steps", reparents)
+	}
 	return t, nil
 }
 

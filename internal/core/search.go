@@ -34,10 +34,6 @@ type SearchOptions struct {
 	// the decision procedures (candidates examined, automata product
 	// sizes, cache traffic, ...). See the WithStats helper.
 	Stats *telemetry.Metrics
-	// Tracer, when non-nil, receives structured decision-trace events
-	// (method selection, per-edge cut decisions, search lifecycle,
-	// final verdicts). See WithTracer.
-	Tracer telemetry.Tracer
 	// Progress, when non-nil, receives throttled progress reports from
 	// the candidate enumeration of the bounded searches. See
 	// WithProgress.
@@ -47,7 +43,9 @@ type SearchOptions struct {
 	// searches poll it between candidates and return its error, so a
 	// caller that goes away (an HTTP client disconnecting, an aborted
 	// program analysis) stops burning a worker promptly. Nil means the
-	// work is never canceled. See WithContext.
+	// work is never canceled. A span it carries (span.Context) receives
+	// the decision procedures' detect, search and shrink spans. See
+	// WithContext.
 	Ctx context.Context
 	// Deadline, when non-zero, is a wall-clock budget: the bounded
 	// searches poll it alongside the context and, once it passes, stop
@@ -122,13 +120,8 @@ func SearchConflict(r ops.Read, u ops.Update, sem ops.Semantics, opts SearchOpti
 	if maxCand <= 0 {
 		maxCand = DefaultMaxCandidates
 	}
-	in.event("search.start",
-		telemetry.F("bound", bound),
-		telemetry.F("max_nodes", maxNodes),
-		telemetry.F("max_candidates", maxCand),
-		telemetry.F("alphabet", len(labels)))
 	sp := startSearchSpan(opts, bound, maxNodes, maxCand, len(labels), 1)
-	defer func() { endSearchSpan(sp, verdict, rerr) }()
+	defer func() { EndSearchSpan(sp, verdict, rerr) }()
 	in.progressStart("search", int64(maxCand))
 
 	checker := ops.NewChecker(sem, r, u, opts.Patterns, in.metrics())
@@ -197,10 +190,6 @@ func SearchConflict(r ops.Read, u ops.Update, sem ops.Semantics, opts SearchOpti
 		return Verdict{}, checkErr
 	}
 	if witness != nil {
-		in.event("search.done",
-			telemetry.F("conflict", true),
-			telemetry.F("candidates", examined),
-			telemetry.F("witness_nodes", witness.Size()))
 		return Verdict{
 			Conflict:   true,
 			Witness:    witness,
@@ -215,11 +204,6 @@ func SearchConflict(r ops.Read, u ops.Update, sem ops.Semantics, opts SearchOpti
 	if truncated {
 		in.count("search.truncated", 1)
 	}
-	in.event("search.done",
-		telemetry.F("conflict", false),
-		telemetry.F("candidates", examined),
-		telemetry.F("complete", complete),
-		telemetry.F("reason", reason))
 	detail := fmt.Sprintf("no witness among %d trees of <= %d nodes", examined, maxNodes)
 	switch {
 	case truncated:

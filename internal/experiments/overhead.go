@@ -1,9 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
-	"io"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"xmlconflict/internal/core"
@@ -11,22 +12,24 @@ import (
 	"xmlconflict/internal/ops"
 	"xmlconflict/internal/pattern"
 	"xmlconflict/internal/telemetry"
+	"xmlconflict/internal/telemetry/span"
 	"xmlconflict/internal/xpath"
 )
 
 // E18 — telemetry overhead. The observability layer's contract is that
-// instrumented hot paths pay a single nil check per event site when no
-// channel is attached; this experiment puts a number on that claim (and
-// on the real cost of attaching each channel) for both decision-
-// procedure shapes: the per-candidate NP-case search loop, where the
-// event sites sit innermost, and the PTIME linear detector.
+// instrumented hot paths pay a single nil check per site and allocate
+// nothing when no channel is attached; this experiment puts a number on
+// that claim (and on the real cost of attaching each channel) for both
+// decision-procedure shapes: the per-candidate NP-case search loop, where
+// the counter and progress sites sit innermost, and the PTIME linear
+// detector, which records one span event per read edge.
 // bench_test.go's BenchmarkE18TelemetryOverhead is the testing.B anchor
 // for the same comparison.
 func E18(seed int64, reps int) Table {
 	t := Table{
 		ID:     "E18",
 		Title:  "Telemetry overhead: channels disabled vs enabled",
-		Header: []string{"workload", "telemetry", "ns/op", "vs off"},
+		Header: []string{"workload", "telemetry", "ns/op", "allocs/op", "vs off"},
 	}
 
 	// NP-case workload: a branching read against a far-away delete, so
@@ -46,20 +49,22 @@ func E18(seed int64, reps int) Table {
 		linUpd.SetOutput(n)
 	}
 
+	// Modes apply per call, so the span mode opens a fresh trace for
+	// every detection, as xserve does per request.
 	type mode struct {
 		name string
 		with func(core.SearchOptions) core.SearchOptions
 	}
 	stats := telemetry.New()
+	progress := telemetry.NewProgress(func(telemetry.Update) {}, time.Hour)
 	modes := []mode{
 		{"off", func(o core.SearchOptions) core.SearchOptions { return o }},
 		{"stats", func(o core.SearchOptions) core.SearchOptions {
 			return o.WithStats(stats)
 		}},
-		{"stats+trace+progress", func(o core.SearchOptions) core.SearchOptions {
-			return o.WithStats(stats).
-				WithTracer(telemetry.NewJSONTracer(io.Discard)).
-				WithProgress(telemetry.NewProgress(func(telemetry.Update) {}, time.Hour))
+		{"stats+span+progress", func(o core.SearchOptions) core.SearchOptions {
+			return o.WithStats(stats).WithProgress(progress).
+				WithContext(span.Context(context.Background(), span.New("E18").Root()))
 		}},
 	}
 
@@ -80,22 +85,32 @@ func E18(seed int64, reps int) Table {
 	for _, w := range workloads {
 		var base time.Duration
 		for _, m := range modes {
-			opts := m.with(w.opts)
-			w.run(opts) // warm caches before timing
-			d := timeIt(max(1, reps)*w.scale, func() { w.run(opts) })
+			call := func() { w.run(m.with(w.opts)) }
+			call() // warm caches before timing
+			d, allocs := timeAllocs(max(1, reps)*w.scale, call)
 			ratio := "1.00x"
 			if m.name == "off" {
 				base = d
 			} else if base > 0 {
 				ratio = fmt.Sprintf("%.2fx", float64(d)/float64(base))
 			}
-			t.Rows = append(t.Rows, []string{w.name, m.name, fmt.Sprint(d.Nanoseconds()), ratio})
+			t.Rows = append(t.Rows, []string{w.name, m.name, fmt.Sprint(d.Nanoseconds()), fmt.Sprint(allocs), ratio})
 		}
 	}
 	t.Metrics = counterMap(stats)
 	t.Notes = append(t.Notes,
-		"expected shape: \"off\" equals an uninstrumented build within noise (the one-nil-check",
-		"claim); \"stats\" adds atomic increments on every event site; the full channel set adds",
-		"JSON encoding per trace event, so its cost is dominated by trace volume")
+		"expected shape: \"off\" equals an uninstrumented build within noise and allocates",
+		"nothing for instrumentation; \"stats\" adds atomic increments on every counter site;",
+		"the span mode adds one trace per call plus its spans and linear.edge events")
 	return t
+}
+
+// timeAllocs runs f reps times and returns the mean duration and the
+// mean number of heap allocations per run.
+func timeAllocs(reps int, f func()) (time.Duration, uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d := timeIt(reps, f)
+	runtime.ReadMemStats(&after)
+	return d, (after.Mallocs - before.Mallocs) / uint64(max(1, reps))
 }

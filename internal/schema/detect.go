@@ -6,7 +6,7 @@ import (
 
 	"xmlconflict/internal/core"
 	"xmlconflict/internal/ops"
-	"xmlconflict/internal/telemetry"
+	"xmlconflict/internal/telemetry/span"
 	"xmlconflict/internal/xmltree"
 )
 
@@ -22,7 +22,7 @@ import (
 // bounded exhaustive search over valid trees only. Positive verdicts
 // carry a valid witness; negative search verdicts are marked incomplete
 // because no witness-size bound is known for the schema-aware problem.
-func DetectUnderSchema(r ops.Read, u ops.Update, sem ops.Semantics, s *Schema, opts core.SearchOptions) (core.Verdict, error) {
+func DetectUnderSchema(r ops.Read, u ops.Update, sem ops.Semantics, s *Schema, opts core.SearchOptions) (v core.Verdict, err error) {
 	if err := r.P.Validate(); err != nil {
 		return core.Verdict{}, fmt.Errorf("schema: invalid read pattern: %w", err)
 	}
@@ -31,20 +31,14 @@ func DetectUnderSchema(r ops.Read, u ops.Update, sem ops.Semantics, s *Schema, o
 	}
 	m := opts.Stats
 	m.Add("detect.calls", 1)
-	telemetry.Emit(opts.Tracer, "detect.method",
-		telemetry.F("method", "schema"),
-		telemetry.F("kind", u.Kind()),
-		telemetry.F("semantics", sem.String()),
-		telemetry.F("read_size", r.P.Size()),
-		telemetry.F("update_size", u.Pattern().Size()))
+	sp := core.StartDetectSpan(opts.Ctx, "schema", r, u, sem)
+	if sp != nil {
+		// Nest the search under the detect span.
+		opts.Ctx = span.Context(opts.Ctx, sp)
+		defer func() { core.EndDetectSpan(sp, v, err) }()
+	}
 	if !s.SatisfiablePattern(u.Pattern()) {
 		m.Add("schema.static_prunes", 1)
-		telemetry.Emit(opts.Tracer, "detect.verdict",
-			telemetry.F("conflict", false),
-			telemetry.F("method", "schema-static"),
-			telemetry.F("complete", true),
-			telemetry.F("candidates", 0),
-			telemetry.F("detail", "the update pattern cannot fire on any schema-valid document"))
 		return core.Verdict{
 			Method:   "schema-static",
 			Complete: true,
@@ -54,12 +48,6 @@ func DetectUnderSchema(r ops.Read, u ops.Update, sem ops.Semantics, s *Schema, o
 	if u.Kind() == "delete" && !s.SatisfiablePattern(r.P) {
 		// Deletion only removes nodes, so R stays empty on valid trees.
 		m.Add("schema.static_prunes", 1)
-		telemetry.Emit(opts.Tracer, "detect.verdict",
-			telemetry.F("conflict", false),
-			telemetry.F("method", "schema-static"),
-			telemetry.F("complete", true),
-			telemetry.F("candidates", 0),
-			telemetry.F("detail", "the read pattern is unsatisfiable under the schema"))
 		return core.Verdict{
 			Method:   "schema-static",
 			Complete: true,
@@ -75,10 +63,12 @@ func DetectUnderSchema(r ops.Read, u ops.Update, sem ops.Semantics, s *Schema, o
 	if maxCand <= 0 {
 		maxCand = core.DefaultMaxCandidates
 	}
-	telemetry.Emit(opts.Tracer, "search.start",
-		telemetry.F("max_nodes", maxNodes),
-		telemetry.F("max_candidates", maxCand),
-		telemetry.F("schema", true))
+	if ssp := span.FromContext(opts.Ctx).Child("search"); ssp != nil {
+		ssp.Set("max_nodes", maxNodes)
+		ssp.Set("max_candidates", maxCand)
+		ssp.Set("schema", true)
+		defer func() { core.EndSearchSpan(ssp, v, err) }()
+	}
 	opts.Progress.Start("schema-search", int64(maxCand))
 	checker := ops.NewChecker(sem, r, u, nil, m)
 	var witness *xmltree.Tree
@@ -99,16 +89,16 @@ func DetectUnderSchema(r ops.Read, u ops.Update, sem ops.Semantics, s *Schema, o
 				return false
 			}
 		}
+		if examined >= maxCand {
+			truncated = true
+			return false
+		}
 		if !opts.Steps.Take() {
 			starved = true
 			return false
 		}
 		examined++
 		opts.Progress.Step(1)
-		if examined > maxCand {
-			truncated = true
-			return false
-		}
 		ok, err := checker.Witness(t)
 		if err != nil {
 			checkErr = err
@@ -138,12 +128,6 @@ func DetectUnderSchema(r ops.Read, u ops.Update, sem ops.Semantics, s *Schema, o
 		return core.Verdict{}, checkErr
 	}
 	if witness != nil {
-		telemetry.Emit(opts.Tracer, "detect.verdict",
-			telemetry.F("conflict", true),
-			telemetry.F("method", "schema-search"),
-			telemetry.F("complete", true),
-			telemetry.F("candidates", examined),
-			telemetry.F("witness_nodes", witness.Size()))
 		return core.Verdict{
 			Conflict:   true,
 			Witness:    witness,
@@ -172,12 +156,6 @@ func DetectUnderSchema(r ops.Read, u ops.Update, sem ops.Semantics, s *Schema, o
 		reason = core.ReasonStepBudget
 		detail = fmt.Sprintf("step budget exhausted after %d candidates (bound %d nodes)", examined, maxNodes)
 	}
-	telemetry.Emit(opts.Tracer, "detect.verdict",
-		telemetry.F("conflict", false),
-		telemetry.F("method", "schema-search"),
-		telemetry.F("complete", false),
-		telemetry.F("candidates", examined),
-		telemetry.F("reason", reason))
 	return core.Verdict{Method: "schema-search", Complete: false, Reason: reason, Detail: detail, Candidates: examined}, nil
 }
 

@@ -1,12 +1,15 @@
 package schema
 
 import (
+	"context"
 	"testing"
 
 	"xmlconflict/internal/core"
 	"xmlconflict/internal/match"
 	"xmlconflict/internal/ops"
 	"xmlconflict/internal/pattern"
+	"xmlconflict/internal/telemetry"
+	"xmlconflict/internal/telemetry/span"
 	"xmlconflict/internal/xmltree"
 	"xmlconflict/internal/xpath"
 )
@@ -100,6 +103,79 @@ func TestSchemaSearchNegativeIncomplete(t *testing.T) {
 	}
 	if vs.Complete {
 		t.Fatalf("schema-search negatives must be incomplete: %+v", vs)
+	}
+}
+
+func TestSchemaSearchCandidateCap(t *testing.T) {
+	// The cap is tested before a step is taken, as in core's search: a
+	// cap of 5 examines, counts and charges exactly 5 candidates.
+	s := MustParse(inventorySchema)
+	read := ops.Read{P: xpath.MustParse("//low")}
+	u := ins("//book", "<publisher><name/></publisher>")
+	st := telemetry.New()
+	steps := core.NewStepBudget(100)
+	opts := core.SearchOptions{MaxNodes: 7, MaxCandidates: 5, Steps: steps}.WithStats(st)
+	vs, err := DetectUnderSchema(read, u, ops.NodeSemantics, s, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vs.Reason != core.ReasonCandidateCap || vs.Candidates != 5 {
+		t.Fatalf("capped search: %+v, want 5 candidates and reason %q", vs, core.ReasonCandidateCap)
+	}
+	if got := st.Snapshot().Counter("schema.candidates"); got != 5 {
+		t.Fatalf("schema.candidates = %d, want 5", got)
+	}
+	if spent := 100 - steps.Remaining(); spent != 5 {
+		t.Fatalf("step budget charged %d steps, want 5", spent)
+	}
+}
+
+// schemaSpans runs DetectUnderSchema under a fresh trace and returns its
+// detect span.
+func schemaSpans(t *testing.T, r ops.Read, u ops.Update, s *Schema, opts core.SearchOptions) (core.Verdict, span.SpanView) {
+	t.Helper()
+	tr := span.New("test")
+	v, err := DetectUnderSchema(r, u, ops.NodeSemantics, s, opts.WithContext(span.Context(context.Background(), tr.Root())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	kids := tr.View().Root.Children
+	if len(kids) != 1 || kids[0].Name != "detect" {
+		t.Fatalf("want one detect span, got %+v", kids)
+	}
+	return v, kids[0]
+}
+
+func TestSchemaDetectSpans(t *testing.T) {
+	s := MustParse(inventorySchema)
+
+	// Static prune: the detect span records the method and the reason,
+	// with no search beneath it.
+	read := ops.Read{P: xpath.MustParse("//low")}
+	u := ins("/inventory/quantity", "<low/>")
+	v, d := schemaSpans(t, read, u, s, core.SearchOptions{})
+	if d.Attrs["method"] != "schema-static" || d.Attrs["conflict"] != false || d.Attrs["detail"] != v.Detail ||
+		d.Attrs["kind"] != "insert" || d.Attrs["read_size"] != read.P.Size() || d.Attrs["update_size"] != u.P.Size() {
+		t.Fatalf("static-prune detect span: %+v", d.Attrs)
+	}
+	if len(d.Children) != 0 {
+		t.Fatalf("static prune ran a search: %+v", d.Children)
+	}
+
+	// Search: a search child carries the bounds and the spend.
+	read = ops.Read{P: xpath.MustParse("//book/quantity")}
+	dl := del("//book[.//low]")
+	v, d = schemaSpans(t, read, dl, s, core.SearchOptions{MaxNodes: 6, MaxCandidates: 50_000})
+	if !v.Conflict || d.Attrs["method"] != "schema-search" || d.Attrs["conflict"] != true || d.Attrs["candidates"] != v.Candidates {
+		t.Fatalf("search detect span: %+v (verdict %+v)", d.Attrs, v)
+	}
+	if len(d.Children) != 1 || d.Children[0].Name != "search" {
+		t.Fatalf("want one search child, got %+v", d.Children)
+	}
+	sr := d.Children[0].Attrs
+	if sr["max_nodes"] != 6 || sr["max_candidates"] != 50_000 || sr["schema"] != true || sr["candidates"] != v.Candidates {
+		t.Fatalf("schema search span: %+v (verdict %+v)", sr, v)
 	}
 }
 

@@ -329,9 +329,11 @@ func (s *Store) ExportState() (State, error) {
 // the reset path for a fenced ex-primary rejoining under a newer epoch.
 // Every document is re-parsed and digest-verified before anything is
 // replaced; the new state is then durably snapshotted (truncating the
-// WAL, whose history no longer describes this state). A snapshot
-// failure after the in-memory swap fail-stops the store — memory and
-// disk would otherwise disagree about acknowledged state.
+// WAL, whose history no longer describes this state), and every local
+// snapshot at a higher LSN is removed, since recovery loads the newest
+// one. A snapshot or removal failure after the in-memory swap
+// fail-stops the store — memory and disk would otherwise disagree about
+// acknowledged state.
 func (s *Store) ImportState(ctx context.Context, st State) error {
 	sp := span.FromContext(ctx).Child("store.repl.import")
 	if sp != nil {
@@ -378,15 +380,24 @@ func (s *Store) ImportState(ctx context.Context, st State) error {
 	s.advanceLSNLocked(st.LSN)
 	s.replLog = nil
 	s.m.Gauge("store.docs").Set(int64(len(s.docs)))
-	if _, err := s.snapshotLocked(); err != nil {
+	failStop := func(what string, err error) error {
 		// In-memory state no longer matches anything recoverable from
 		// disk: refuse to keep serving it.
 		s.closed = true
 		s.w.Close()
 		unlock()
-		err = fmt.Errorf("store: import state: snapshot failed, store fail-stopped: %w", err)
+		err = fmt.Errorf("store: import state: %s, store fail-stopped: %w", what, err)
 		sp.Fail(err)
 		return err
+	}
+	lsn, err := s.snapshotLocked()
+	if err != nil {
+		return failStop("snapshot failed", err)
+	}
+	// A deposed primary may hold snapshots past the imported LSN;
+	// recovery would load one of them and resurrect the diverged state.
+	if err := removeSnapshotsAbove(s.dir, lsn); err != nil {
+		return failStop("removing newer snapshots failed", err)
 	}
 	s.m.Add("store.repl.imports", 1)
 	unlock()

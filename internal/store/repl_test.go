@@ -389,3 +389,63 @@ func TestImportStateRejectsBadDigest(t *testing.T) {
 		t.Fatalf("store unusable after rejected import: %v", err)
 	}
 }
+
+func TestImportStateSurvivesReopenOverNewerSnapshots(t *testing.T) {
+	// A deposed primary that snapshotted past the new primary's LSN must
+	// reopen at the imported state, not at its own newer, diverged
+	// snapshot: recovery loads the newest snapshot on disk.
+	primary, err := Open(t.TempDir(), Options{Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	if _, err := primary.Create("d", "<a/>"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := primary.Submit("d", Op{Kind: "insert", Pattern: "/a", X: "<b/>"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := primary.ExportState()
+	if err != nil || st.LSN != 4 {
+		t.Fatalf("export: lsn %d, err %v", st.LSN, err)
+	}
+	want, _ := primary.Get("d")
+
+	dir := t.TempDir()
+	deposed, err := Open(dir, Options{Fsync: FsyncNever, SnapshotEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := deposed.Create("d", "<a/>"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 9; i++ {
+		if _, err := deposed.Submit("d", Op{Kind: "insert", Pattern: "/a", X: "<diverged/>"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if deposed.LSN() != 10 {
+		t.Fatalf("deposed lsn %d, want 10", deposed.LSN())
+	}
+	if err := deposed.ImportState(context.Background(), st); err != nil {
+		t.Fatal(err)
+	}
+	if err := deposed.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(dir, Options{Fsync: FsyncNever, SnapshotEvery: 4})
+	if err != nil {
+		t.Fatalf("reopen after import: %v", err)
+	}
+	defer re.Close()
+	got, err := re.Get("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.LSN() != st.LSN || got.Digest != want.Digest {
+		t.Fatalf("reopened at lsn %d with %s, want the imported lsn %d with %s", re.LSN(), got.XML, st.LSN, want.XML)
+	}
+}

@@ -189,6 +189,24 @@ func pruneSnapshots(dir string, keep int, curLSN uint64, m *telemetry.Metrics) {
 	}
 }
 
+// removeSnapshotsAbove deletes every snapshot file in dir past lsn and
+// fsyncs dir, so recovery, which loads the newest snapshot, lands on the
+// one at lsn.
+func removeSnapshotsAbove(dir string, lsn uint64) error {
+	names, err := listSnapshots(dir)
+	if err != nil {
+		return err
+	}
+	for _, name := range names {
+		if n, _ := snapLSNFromName(name); n > lsn {
+			if err := os.Remove(filepath.Join(dir, name)); err != nil && !os.IsNotExist(err) {
+				return fmt.Errorf("store: remove snapshot %s: %w", name, err)
+			}
+		}
+	}
+	return syncDir(dir)
+}
+
 // syncDir fsyncs a directory so a just-renamed file survives a crash.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)

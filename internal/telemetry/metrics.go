@@ -1,8 +1,8 @@
 // Package telemetry is the zero-dependency observability substrate of the
 // conflict-detection engine: atomic counters/gauges/timers collected in a
-// Metrics registry (snapshot-able and exportable via expvar), a structured
-// trace-event stream (Tracer, with JSON-lines and human-text sinks), and a
-// throttled progress reporter for long-running searches (Progress).
+// Metrics registry (snapshot-able and exportable via expvar), and a
+// throttled progress reporter for long-running searches (Progress). Timing
+// and the engine's decisions are recorded on spans (package span).
 //
 // Everything is safe for concurrent use, and every hot-path entry point is
 // nil-receiver-safe: instrumented code holds a possibly-nil handle and

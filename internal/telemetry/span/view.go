@@ -125,7 +125,7 @@ type TraceSummary struct {
 }
 
 // WriteTree renders the span tree as indented human-readable lines —
-// what `xconflict -span` and `xserve` trace dumps print.
+// what the CLIs' -trace flag and `xserve` trace dumps print.
 func (v TraceView) WriteTree(w io.Writer) {
 	fmt.Fprintf(w, "trace %s %s %s%s\n", v.TraceID, v.Name, fmtUs(v.DurationUs), fmtFlags(v.Flags))
 	if v.DroppedSpans > 0 {

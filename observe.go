@@ -11,16 +11,18 @@ import (
 	"xmlconflict/internal/telemetry/span"
 )
 
-// This file is the observability facade: metrics, decision traces, and
-// progress reporting for the detection engine. All instrumentation is
-// opt-in through SearchOptions (see WithStats, WithTracer, WithProgress
-// on SearchOptions); with no channels attached the engine pays a single
-// nil check per event site.
+// This file is the observability facade of the detection engine: Stats
+// counters, live Progress reports, and span traces that record timing and
+// every decision. All instrumentation is opt-in through SearchOptions (see
+// WithStats, WithProgress and WithContext on SearchOptions); with nothing
+// attached the engine pays a single nil check per site.
 //
 //	st := xmlconflict.NewStats()
-//	tr := xmlconflict.NewJSONTracer(os.Stderr)
+//	ctx, tr := xmlconflict.StartTrace(context.Background(), "detect")
 //	v, err := xmlconflict.Detect(r, u, sem,
-//		xmlconflict.SearchOptions{}.WithStats(st).WithTracer(tr))
+//		xmlconflict.SearchOptions{}.WithStats(st).WithContext(ctx))
+//	tr.Finish()
+//	tr.View().WriteTree(os.Stderr)
 //	fmt.Print(st.Snapshot())
 
 // Stats is a concurrency-safe registry of named counters, gauges, and
@@ -38,31 +40,6 @@ func NewStats() *Stats { return telemetry.New() }
 // StatsSnapshot is a point-in-time copy of a Stats registry. Its String
 // method renders a sorted human-readable listing.
 type StatsSnapshot = telemetry.Snapshot
-
-// Tracer receives the engine's structured decision-trace events: method
-// selection (detect.method), per-edge cut decisions (linear.edge), search
-// lifecycle (search.start, search.done), witness shrinking (shrink.done),
-// and final verdicts (detect.verdict). Attach one with
-// SearchOptions.WithTracer.
-type Tracer = telemetry.Tracer
-
-// TraceField is one key/value pair of a trace event.
-type TraceField = telemetry.Field
-
-// TraceEvent is a recorded trace event (see NewTraceRecorder).
-type TraceEvent = telemetry.TraceEvent
-
-// NewJSONTracer returns a Tracer writing one JSON object per event to w:
-// {"event":"search.start","us":12,...}. Safe for concurrent use.
-func NewJSONTracer(w io.Writer) Tracer { return telemetry.NewJSONTracer(w) }
-
-// NewTextTracer returns a Tracer writing one human-readable line per
-// event to w. Safe for concurrent use.
-func NewTextTracer(w io.Writer) Tracer { return telemetry.NewTextTracer(w) }
-
-// NewTraceRecorder returns a Tracer that records events in memory (for
-// tests and programmatic inspection).
-func NewTraceRecorder() *telemetry.Recorder { return telemetry.NewRecorder() }
 
 // Progress delivers throttled progress reports from the candidate
 // enumerations of the bounded witness searches: candidates done versus
@@ -104,12 +81,15 @@ func ServeObservability(addr string, st *Stats) (io.Closer, string, error) {
 	return srv, bound, nil
 }
 
-// SpanTrace is one request-scoped span tree: the engine's layers
-// (detection method choice, cache disposition, search budget spend,
-// store admission and WAL pipeline) attach child spans to whatever
-// trace rides the SearchOptions context. Create one with StartTrace,
-// thread its context via SearchOptions.Ctx (or store CreateCtx /
-// SubmitCtx), Finish it, and render or serialize the View.
+// SpanTrace is one request-scoped span tree: the engine's layers attach
+// child spans to whatever trace rides the SearchOptions context. The
+// detect span records the method choice, operand sizes and verdict, with
+// one linear.edge event per read edge the linear detectors decide; the
+// search span its bounds and budget spend; the shrink span the witness
+// reduction; and around them cache disposition, batch fan-out, and the
+// store's admission and WAL pipeline. Create one with StartTrace, thread
+// its context via SearchOptions.Ctx (or store CreateCtx / SubmitCtx),
+// Finish it, and render or serialize the View.
 type SpanTrace = span.Trace
 
 // SpanView is the immutable snapshot of a finished (or in-flight)
@@ -127,8 +107,8 @@ func StartTrace(ctx context.Context, name string) (context.Context, *SpanTrace) 
 }
 
 // ShrinkWitnessObserved is ShrinkWitness reporting the minimization's
-// work (nodes marked, reparenting steps, size before and after) through
-// the telemetry channels of opts.
+// work (nodes marked, reparenting steps, size before and after) to the
+// Stats of opts and as a shrink span under the span in opts.Ctx.
 func ShrinkWitnessObserved(w *Tree, r Read, u Update, opts SearchOptions) (*Tree, error) {
 	return core.ShrinkWitnessObserved(w, r, u, opts)
 }

@@ -1,6 +1,7 @@
 package xmlconflict_test
 
 import (
+	"context"
 	"testing"
 
 	"xmlconflict"
@@ -71,40 +72,46 @@ func TestTutorialClaims(t *testing.T) {
 		t.Fatalf("§6 witness: %v %v", ok, err)
 	}
 
-	// §7: observing a detection. The quickstart pair under a recorder
-	// traces the linear method choice, per-edge cut decisions, and the
-	// verdict; stats count the automata products behind them.
+	// §7: observing a detection. The quickstart pair under a span trace
+	// records the linear method choice, per-edge cut decisions, and the
+	// verdict on the detect span; stats count the automata products
+	// behind them.
 	st := xmlconflict.NewStats()
-	rec := xmlconflict.NewTraceRecorder()
+	ctx, trace := xmlconflict.StartTrace(context.Background(), "tutorial")
 	v, err = xmlconflict.Detect(read, ins, xmlconflict.NodeSemantics,
-		xmlconflict.SearchOptions{}.WithStats(st).WithTracer(rec))
+		xmlconflict.SearchOptions{}.WithStats(st).WithContext(ctx))
 	if err != nil || !v.Conflict {
 		t.Fatalf("§7 detect: %+v %v", v, err)
 	}
-	if m, ok := rec.First("detect.method"); !ok || m.Field("method") != "linear" {
-		t.Fatalf("§7 detect.method: %v", rec.Names())
+	trace.Finish()
+	det := findSpans(trace.View().Root, "detect")
+	if len(det) != 1 || det[0].Attrs["method"] != "linear" || det[0].Attrs["conflict"] != true {
+		t.Fatalf("§7 detect span: %+v", det)
 	}
-	if _, ok := rec.First("linear.edge"); !ok {
-		t.Fatalf("§7 no linear.edge event: %v", rec.Names())
+	cut := false
+	for _, e := range det[0].Events {
+		cut = cut || e.Name == "linear.edge" && e.Attrs["cut"] == true
 	}
-	if vd, ok := rec.First("detect.verdict"); !ok || vd.Field("conflict") != true {
-		t.Fatalf("§7 detect.verdict: %v", rec.Names())
+	if !cut {
+		t.Fatalf("§7 no linear.edge cut event: %+v", det[0].Events)
 	}
 	snap := st.Snapshot()
 	if snap.Counter("automata.products") == 0 || snap.Counter("automata.product_states") == 0 {
 		t.Fatalf("§7 automata counters: %s", snap)
 	}
 	// A branching read goes through the search and reports candidates.
+	ctx, trace = xmlconflict.StartTrace(context.Background(), "tutorial")
 	v, err = xmlconflict.Detect(
 		xmlconflict.Read{P: xmlconflict.MustParseXPath("a[q]/b")},
 		xmlconflict.Insert{P: xmlconflict.MustParseXPath("a"), X: xmlconflict.MustParseXML("<b/>")},
 		xmlconflict.NodeSemantics,
-		xmlconflict.SearchOptions{MaxNodes: 4}.WithTracer(rec))
+		xmlconflict.SearchOptions{MaxNodes: 4}.WithContext(ctx))
 	if err != nil || !v.Conflict || v.Candidates == 0 {
 		t.Fatalf("§7 search candidates: %+v %v", v, err)
 	}
-	if _, ok := rec.First("search.start"); !ok {
-		t.Fatalf("§7 no search.start event: %v", rec.Names())
+	trace.Finish()
+	if srch := findSpans(trace.View().Root, "search"); len(srch) != 1 || srch[0].Attrs["bound"] == nil || srch[0].Attrs["candidates"] != v.Candidates {
+		t.Fatalf("§7 search span: %+v", srch)
 	}
 
 	// §8: the xdep walkthrough program parses and optimizes with a CSE.
