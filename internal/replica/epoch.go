@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"xmlconflict/internal/store"
 )
 
 // The replication epoch is the fencing token: it lives in
@@ -79,31 +81,5 @@ func saveEpoch(dir string, ep epochState) error {
 	if err != nil {
 		return fmt.Errorf("replica: encode epoch: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, "repl-epoch-*.tmp")
-	if err != nil {
-		return fmt.Errorf("replica: epoch temp: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(append(b, '\n')); err == nil {
-		err = tmp.Sync()
-	}
-	if err != nil {
-		tmp.Close()
-		return fmt.Errorf("replica: write epoch: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("replica: close epoch: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, epochFileName)); err != nil {
-		return fmt.Errorf("replica: publish epoch: %w", err)
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("replica: open dir for fsync: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("replica: fsync dir: %w", err)
-	}
-	return nil
+	return store.PublishFile(dir, epochFileName, append(b, '\n'))
 }

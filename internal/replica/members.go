@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"xmlconflict/internal/store"
 )
 
 // Dynamic membership: the committed cluster roster lives in
@@ -135,31 +137,5 @@ func saveMembers(dir string, ms memberState) error {
 	if err != nil {
 		return fmt.Errorf("replica: encode membership: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, "repl-members-*.tmp")
-	if err != nil {
-		return fmt.Errorf("replica: membership temp: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(append(b, '\n')); err == nil {
-		err = tmp.Sync()
-	}
-	if err != nil {
-		tmp.Close()
-		return fmt.Errorf("replica: write membership: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("replica: close membership: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, membersFileName)); err != nil {
-		return fmt.Errorf("replica: publish membership: %w", err)
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("replica: open dir for fsync: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("replica: fsync dir: %w", err)
-	}
-	return nil
+	return store.PublishFile(dir, membersFileName, append(b, '\n'))
 }

@@ -109,7 +109,7 @@ func addLearner(t *testing.T, c *cluster, id string) *Node {
 	t.Cleanup(srv.Close)
 	dir := t.TempDir()
 	peers := append(append([]Peer(nil), c.peers...), Peer{ID: id, URL: srv.URL})
-	n, err := Open(dir, shardOptsForTest(), Options{
+	n, err := Open(dir, c.shards, Options{
 		NodeID:         id,
 		Peers:          peers,
 		Learner:        true,
@@ -165,6 +165,10 @@ func TestJoinUnderLoadPromotesLearnerToVoter(t *testing.T) {
 	defer halt()
 
 	nodeC := addLearner(t, c, "c")
+	// Hold c partitioned until the learner check below: a heartbeat
+	// could otherwise report it caught up and get it promoted before
+	// Status is read.
+	faultinject.Arm("repl.partition.c", faultinject.Fault{Kind: faultinject.KindError})
 	if err := a.Join(ctx, "c", nodeC.Self().URL); err != nil {
 		t.Fatalf("join: %v", err)
 	}
@@ -178,6 +182,7 @@ func TestJoinUnderLoadPromotesLearnerToVoter(t *testing.T) {
 			t.Fatal("freshly joined node is already a voter")
 		}
 	}
+	faultinject.Disarm("repl.partition.c")
 
 	// Catch-up then auto-promotion: the primary commits learner→voter
 	// once c is within the promotion lag.

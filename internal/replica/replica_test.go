@@ -49,12 +49,21 @@ type cluster struct {
 	dirs     map[string]string
 	nodes    map[string]*Node
 	handlers map[string]*swapHandler
+	shards   shard.Options
 	mutate   func(id string, o *Options)
 }
 
 // newCluster boots size nodes named "a", "b", ... with fast test
-// timing. mutate (optional) adjusts each node's Options before Open.
+// timing over the shardOptsForTest layout. mutate (optional) adjusts
+// each node's Options before Open.
 func newCluster(t *testing.T, size int, mutate func(id string, o *Options)) *cluster {
+	t.Helper()
+	return newClusterWith(t, size, shardOptsForTest(), mutate)
+}
+
+// newClusterWith is newCluster with every node opening its shards
+// under so.
+func newClusterWith(t *testing.T, size int, so shard.Options, mutate func(id string, o *Options)) *cluster {
 	t.Helper()
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
@@ -63,6 +72,7 @@ func newCluster(t *testing.T, size int, mutate func(id string, o *Options)) *clu
 		dirs:     map[string]string{},
 		nodes:    map[string]*Node{},
 		handlers: map[string]*swapHandler{},
+		shards:   so,
 		mutate:   mutate,
 	}
 	for i := 0; i < size; i++ {
@@ -100,7 +110,7 @@ func (c *cluster) start(id string) *Node {
 	if c.mutate != nil {
 		c.mutate(id, &opts)
 	}
-	n, err := Open(c.dirs[id], shardOptsForTest(), opts)
+	n, err := Open(c.dirs[id], c.shards, opts)
 	if err != nil {
 		c.t.Fatalf("open node %s: %v", id, err)
 	}
@@ -222,6 +232,45 @@ func TestShippingConvergesAtAckAll(t *testing.T) {
 		if !ok || got != want {
 			t.Fatalf("node %s digest = %q ok=%v, want %q (ack=all must be synchronous)", id, got, ok, want)
 		}
+	}
+}
+
+// TestPushStateCatchesUpPartitionedBackup drives state transfer's push
+// path: a backup cut off while the primary's frame buffer rolled past
+// it is brought back by the primary pushing its snapshot file, chunk
+// by chunk, as soon as the partition heals.
+func TestPushStateCatchesUpPartitionedBackup(t *testing.T) {
+	so := shardOptsForTest()
+	so.Store.ReplBuffer = 4
+	c := newClusterWith(t, 3, so, func(id string, o *Options) {
+		o.Ack = AckAll
+		// Each ship gets this budget: room for the whole push on a slow
+		// disk, and no elections during the short partition.
+		o.FailoverAfter = time.Second
+	})
+	ctx := context.Background()
+	a := c.nodes["a"]
+	if _, err := a.CreateCtx(ctx, "d", "<r/>"); err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	faultinject.Arm("repl.partition.c", faultinject.Fault{Kind: faultinject.KindError})
+	for i := 0; i < 12; i++ {
+		// c cannot ack, so ack=all fails; the write still commits on a.
+		wctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+		a.SubmitCtx(wctx, "d", insertOp("/r", fmt.Sprintf("<w i=\"%d\"/>", i))) //nolint:errcheck // the ack is expected to fail
+		cancel()
+	}
+	faultinject.Disarm("repl.partition.c")
+	if _, err := a.SubmitCtx(ctx, "d", insertOp("/r", "<healed/>")); err != nil {
+		t.Fatalf("write after heal: %v", err)
+	}
+	want, _ := c.digest("a", "d")
+	c.waitFor(5*time.Second, "healed backup to converge", func() bool {
+		got, ok := c.digest("c", "d")
+		return ok && got == want
+	})
+	if n := a.m.Snapshot().Counter("repl.xfer_pushes"); n == 0 {
+		t.Fatal("backup converged without a state push")
 	}
 }
 

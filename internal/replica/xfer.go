@@ -10,13 +10,12 @@ import (
 	"xmlconflict/internal/store"
 )
 
-// Chunked, resumable state transfer on the replication plane. The old
-// catch-up path shipped a whole shard as one unbounded body; a crash or
-// partition anywhere in flight restarted it from byte zero. Both
-// directions now move CRC-framed chunks of a byte-stable exporter
-// session, and the RECEIVER steers: every reply names the offset it
-// needs next, read from the durable progress record the store keeps, so
-// an interrupted transfer resumes instead of restarting.
+// Chunked, resumable state transfer on the replication plane. Both
+// directions move CRC-framed chunks of the exporter's snapshot file at
+// its LSN when the session opened, and the RECEIVER steers: every reply
+// names the offset it needs next, read from the durable progress record
+// the store keeps, so an interrupted transfer resumes instead of
+// restarting.
 //
 //   - push (primary → backup): the frame buffer no longer reaches the
 //     peer, so shipTo switches to POST /v1/repl/xfer chunk loops and the
@@ -26,7 +25,7 @@ import (
 //     /v1/repl/xfer/{shard} chunk by chunk, resuming from XferProgress.
 //
 // Installation stays atomic either way: the store publishes nothing
-// until the final chunk passes whole-body verification.
+// until the received file passes the snapshot loader's verification.
 
 const (
 	// maxSinceFrames / maxSinceBytes bound one anti-entropy page: a
@@ -38,8 +37,9 @@ const (
 	maxSinceBytes  = 4 << 20
 
 	// xferMaxStalls bounds consecutive non-advancing transfer rounds
-	// before the mover gives up (a session eviction race heals in one
-	// round; anything persistent is a real disagreement).
+	// before the mover gives up (a session whose snapshot was pruned
+	// restarts in one round; anything persistent is a real
+	// disagreement).
 	xferMaxStalls = 3
 )
 
@@ -72,8 +72,8 @@ type xferPullResponse struct {
 }
 
 // handleXferGet serves one exporter chunk (the pull path). An empty or
-// unknown session opens a fresh byte-stable session; the receiver
-// notices the new id and restarts its part file from zero.
+// unknown session opens a fresh session at the current LSN; the
+// receiver notices the new id and restarts its part file from zero.
 func (n *Node) handleXferGet(w http.ResponseWriter, r *http.Request) {
 	if n.partitioned(w) {
 		return
@@ -165,11 +165,10 @@ func (n *Node) pushState(ctx context.Context, p Peer, epoch uint64, shardIdx int
 		}
 		restarted := session != "" && c.Session != session
 		if restarted {
-			// The exporter no longer holds our session (evicted, or the
-			// state moved on): the receiver will restart from zero under the
-			// new id. Endless eviction churn must not restart the transfer
-			// forever, so it spends the same stall budget a frozen offset
-			// does.
+			// Our session's snapshot was pruned: the receiver will restart
+			// from zero under the new id. Endless snapshot churn must not
+			// restart the transfer forever, so it spends the same stall
+			// budget a frozen offset does.
 			stalls++
 		}
 		session = c.Session // a fresh session reports the id every later chunk reuses
@@ -226,7 +225,7 @@ func (n *Node) pullState(ctx context.Context, p Peer, shardIdx int, st *store.St
 		if restarted {
 			// A changed session id restarts the transfer from zero on the
 			// importer side; charge it against the stall budget so exporter
-			// eviction churn cannot restart the pull forever.
+			// snapshot churn cannot restart the pull forever.
 			stalls++
 		}
 		session = resp.Chunk.Session // the exporter may have opened a fresh session

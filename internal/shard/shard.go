@@ -200,33 +200,16 @@ func readManifest(dir string) (manifest, bool, error) {
 	return man, true, nil
 }
 
-// writeManifest publishes the layout via temp+rename so a crash while
-// initializing can never leave a half-written manifest that later
-// opens read as a different layout.
+// writeManifest publishes the layout durably (temp + fsync + rename +
+// dir fsync) so a crash while initializing can never leave a
+// half-written manifest — or lose the rename — and a later open read a
+// different layout.
 func writeManifest(dir string, man manifest) error {
 	b, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {
 		return fmt.Errorf("shard: encode manifest: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, "shards-*.tmp")
-	if err != nil {
-		return fmt.Errorf("shard: manifest temp: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(append(b, '\n')); err == nil {
-		err = tmp.Sync()
-	}
-	if err != nil {
-		tmp.Close()
-		return fmt.Errorf("shard: write manifest: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("shard: close manifest: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, manifestName)); err != nil {
-		return fmt.Errorf("shard: publish manifest: %w", err)
-	}
-	return nil
+	return store.PublishFile(dir, manifestName, append(b, '\n'))
 }
 
 // buildRing constructs the consistent-hash ring: vnodesPerShard points

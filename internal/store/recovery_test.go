@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"xmlconflict/internal/telemetry"
 )
 
 // TestRecoveryLongestDurablePrefix is the crash-point property test:
@@ -315,5 +317,27 @@ func TestRecoveryAbortsOnLSNGapMidWAL(t *testing.T) {
 	info, err := s2.Get("d")
 	if err != nil || info.Digest != keep.Digest {
 		t.Fatalf("prefix after gap abort: %+v, %v", info, err)
+	}
+}
+
+// TestRecoverySkipsSnapshotWithDuplicateDocID: a snapshot listing one
+// document id twice is corrupt, not "the last entry wins": recovery
+// counts it bad and falls back to the older generation.
+func TestRecoverySkipsSnapshotWithDuplicateDocID(t *testing.T) {
+	dir := t.TempDir()
+	good := snapshot{LSN: 1, Docs: dupDocSnapshot().Docs[:1]}
+	for _, snap := range []snapshot{good, dupDocSnapshot()} {
+		if _, err := writeSnapshot(dir, snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := telemetry.New()
+	s := openTest(t, dir, Options{Fsync: FsyncNever, Metrics: m})
+	if n := m.Snapshot().Counter("store.bad_snapshots"); n != 1 {
+		t.Fatalf("store.bad_snapshots = %d, want 1", n)
+	}
+	info, err := s.Get("d")
+	if err != nil || info.XML != "<a/>" || s.LSN() != 1 {
+		t.Fatalf("recovered d = %q (err %v) at lsn %d, want <a/> at lsn 1", info.XML, err, s.LSN())
 	}
 }

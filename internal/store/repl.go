@@ -42,22 +42,6 @@ var ErrReplGap = errors.New("store: replication frame gap")
 // sender treat it as replicated.
 var ErrReplDiverged = errors.New("store: replicated frame diverges from the local log")
 
-// State is a full-store transfer unit: every document's canonical
-// serialization and digest at one LSN. It is the anti-entropy fallback
-// when the in-memory frame log no longer reaches back far enough.
-type State struct {
-	LSN  uint64     `json:"lsn"`
-	Docs []StateDoc `json:"docs"`
-}
-
-// StateDoc is one document inside a State.
-type StateDoc struct {
-	ID     string `json:"id"`
-	LSN    uint64 `json:"lsn"`
-	XML    string `json:"xml"`
-	Digest string `json:"digest"`
-}
-
 // pushReplFrame retains a just-committed record for shipping; the
 // caller holds s.mu. The log is bounded: once it exceeds the configured
 // buffer, the oldest frames fall off and lagging peers must catch up by
@@ -260,146 +244,4 @@ func (s *Store) verifyOverlapLocked(f ReplFrame) error {
 	}
 	return fmt.Errorf("store: repl frame lsn %d at or below local lsn %d is not retained for verification: %w",
 		f.LSN, s.lsn, ErrReplDiverged)
-}
-
-// prepareReplayed validates rec against the current in-memory state and
-// returns a commit closure that publishes its effect. Nothing is
-// mutated until the closure runs; the caller holds s.mu.
-func (s *Store) prepareReplayed(rec record) (func(), error) {
-	switch rec.Type {
-	case "create":
-		if _, ok := s.docs[rec.Doc]; ok {
-			return nil, fmt.Errorf("replicated create %q: already exists", rec.Doc)
-		}
-		t, err := s.parseLimited(rec.XML)
-		if err != nil {
-			return nil, err
-		}
-		digest := t.Digest()
-		if digest != rec.Digest {
-			return nil, fmt.Errorf("replicated create %q: digest mismatch", rec.Doc)
-		}
-		return func() {
-			s.docs[rec.Doc] = &doc{id: rec.Doc, tree: t, lsn: rec.LSN, digest: digest}
-		}, nil
-	case "update":
-		d, ok := s.docs[rec.Doc]
-		if !ok {
-			return nil, fmt.Errorf("replicated update %q: no such doc", rec.Doc)
-		}
-		u, _, err := s.parseUpdate(Op{Kind: rec.Kind, Pattern: rec.Pattern, X: rec.X})
-		if err != nil {
-			return nil, err
-		}
-		newTree, _, digest, err := applyUpdate(d, u)
-		if err != nil {
-			return nil, err
-		}
-		if digest != rec.Digest {
-			return nil, fmt.Errorf("replicated update %q lsn %d: digest mismatch (shipped %.12s, applied %.12s)",
-				rec.Doc, rec.LSN, rec.Digest, digest)
-		}
-		return func() { s.commitUpdate(d, rec.LSN, rec.Kind, u, newTree, digest) }, nil
-	case "drop":
-		if _, ok := s.docs[rec.Doc]; !ok {
-			return nil, fmt.Errorf("replicated drop %q: no such doc", rec.Doc)
-		}
-		return func() { delete(s.docs, rec.Doc) }, nil
-	}
-	return nil, fmt.Errorf("unknown record type %q", rec.Type)
-}
-
-// ExportState captures the whole store for full-state transfer.
-func (s *Store) ExportState() (State, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return State{}, ErrClosed
-	}
-	st := State{LSN: s.lsn}
-	for _, id := range sortedIDs(s.docs) {
-		d := s.docs[id]
-		st.Docs = append(st.Docs, StateDoc{ID: id, LSN: d.lsn, XML: d.tree.XML(), Digest: d.digest})
-	}
-	return st, nil
-}
-
-// ImportState replaces this store's entire contents with st: the
-// catch-up path for a replica too far behind for frame shipping, and
-// the reset path for a fenced ex-primary rejoining under a newer epoch.
-// Every document is re-parsed and digest-verified before anything is
-// replaced; the new state is then durably snapshotted (truncating the
-// WAL, whose history no longer describes this state), and every local
-// snapshot at a higher LSN is removed, since recovery loads the newest
-// one. A snapshot or removal failure after the in-memory swap
-// fail-stops the store — memory and disk would otherwise disagree about
-// acknowledged state.
-func (s *Store) ImportState(ctx context.Context, st State) error {
-	sp := span.FromContext(ctx).Child("store.repl.import")
-	if sp != nil {
-		sp.Set("docs", len(st.Docs))
-		sp.Set("lsn", st.LSN)
-		defer sp.End()
-	}
-	newDocs := make(map[string]*doc, len(st.Docs))
-	for _, sd := range st.Docs {
-		if sd.LSN > st.LSN {
-			err := fmt.Errorf("store: import state: doc %q lsn %d beyond state lsn %d", sd.ID, sd.LSN, st.LSN)
-			sp.Fail(err)
-			return err
-		}
-		t, err := s.parseLimited(sd.XML)
-		if err != nil {
-			err = fmt.Errorf("store: import state: doc %q: %w", sd.ID, err)
-			sp.Fail(err)
-			return err
-		}
-		if got := t.Digest(); got != sd.Digest {
-			err := fmt.Errorf("store: import state: doc %q digest mismatch (shipped %.12s, parsed %.12s)", sd.ID, sd.Digest, got)
-			sp.Fail(err)
-			return err
-		}
-		if _, dup := newDocs[sd.ID]; dup {
-			err := fmt.Errorf("store: import state: duplicate doc %q", sd.ID)
-			sp.Fail(err)
-			return err
-		}
-		newDocs[sd.ID] = &doc{id: sd.ID, tree: t, lsn: sd.LSN, digest: sd.Digest}
-	}
-
-	s.mu.Lock()
-	locked := true
-	defer s.guardCommit(&locked)
-	unlock := func() { locked = false; s.mu.Unlock() }
-	if s.closed {
-		unlock()
-		sp.Fail(ErrClosed)
-		return ErrClosed
-	}
-	s.docs = newDocs
-	s.advanceLSNLocked(st.LSN)
-	s.replLog = nil
-	s.m.Gauge("store.docs").Set(int64(len(s.docs)))
-	failStop := func(what string, err error) error {
-		// In-memory state no longer matches anything recoverable from
-		// disk: refuse to keep serving it.
-		s.closed = true
-		s.w.Close()
-		unlock()
-		err = fmt.Errorf("store: import state: %s, store fail-stopped: %w", what, err)
-		sp.Fail(err)
-		return err
-	}
-	lsn, err := s.snapshotLocked()
-	if err != nil {
-		return failStop("snapshot failed", err)
-	}
-	// A deposed primary may hold snapshots past the imported LSN;
-	// recovery would load one of them and resurrect the diverged state.
-	if err := removeSnapshotsAbove(s.dir, lsn); err != nil {
-		return failStop("removing newer snapshots failed", err)
-	}
-	s.m.Add("store.repl.imports", 1)
-	unlock()
-	return nil
 }

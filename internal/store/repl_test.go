@@ -186,16 +186,12 @@ func TestReplBufferFallsBackToState(t *testing.T) {
 	}
 
 	// Full-state transfer is the fallback.
-	st, err := primary.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
 	backup, err := Open(t.TempDir(), Options{Fsync: FsyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer backup.Close()
-	if err := backup.ImportState(context.Background(), st); err != nil {
+	if _, err := pumpXfer(t, primary, backup, 0); err != nil {
 		t.Fatal(err)
 	}
 	if backup.LSN() != primary.LSN() {
@@ -339,18 +335,15 @@ func TestReplOverlapVerifiedByImportProvenance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, err := primary.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
 	backup, err := Open(t.TempDir(), Options{Fsync: FsyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer backup.Close()
-	if err := backup.ImportState(context.Background(), st); err != nil {
+	if _, err := pumpXfer(t, primary, backup, 0); err != nil {
 		t.Fatal(err)
 	}
+	imported := primary.LSN()
 
 	// Without the floor, the overlap is unverifiable: refuse.
 	frames, _ := primary.FramesSince(0)
@@ -359,29 +352,29 @@ func TestReplOverlapVerifiedByImportProvenance(t *testing.T) {
 	}
 	// With the floor at the import LSN, provenance covers the overlap and
 	// the watermark reaches the end of the shipped range.
-	lsn, err := backup.ApplyFrames(context.Background(), frames, st.LSN)
-	if err != nil || lsn != st.LSN {
-		t.Fatalf("overlap under floor: lsn=%d err=%v, want %d, nil", lsn, err, st.LSN)
+	lsn, err := backup.ApplyFrames(context.Background(), frames, imported)
+	if err != nil || lsn != imported {
+		t.Fatalf("overlap under floor: lsn=%d err=%v, want %d, nil", lsn, err, imported)
 	}
 	// Frames past the floor still apply normally on the same stream.
 	if _, err := primary.Submit("d", Op{Kind: "insert", Pattern: "/a"}); err != nil {
 		t.Fatal(err)
 	}
 	frames, _ = primary.FramesSince(0)
-	lsn, err = backup.ApplyFrames(context.Background(), frames, st.LSN)
+	lsn, err = backup.ApplyFrames(context.Background(), frames, imported)
 	if err != nil || lsn != primary.LSN() || backup.LSN() != primary.LSN() {
 		t.Fatalf("ship past floor: lsn=%d err=%v backup=%d, want all at %d", lsn, err, backup.LSN(), primary.LSN())
 	}
 }
 
-func TestImportStateRejectsBadDigest(t *testing.T) {
+func TestXferRejectsBadDigest(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{Fsync: FsyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	st := State{LSN: 3, Docs: []StateDoc{{ID: "d", LSN: 3, XML: "<a/>", Digest: "not-the-digest"}}}
-	if err := s.ImportState(context.Background(), st); err == nil {
+	body := snapshotBody(t, snapshot{LSN: 3, Docs: []snapDoc{{ID: "d", LSN: 3, XML: "<a/>", Digest: "not-the-digest"}}})
+	if err := importBody(s, 3, body); err == nil {
 		t.Fatal("bad-digest import accepted")
 	}
 	// The store must be untouched and still usable.
@@ -390,7 +383,7 @@ func TestImportStateRejectsBadDigest(t *testing.T) {
 	}
 }
 
-func TestImportStateSurvivesReopenOverNewerSnapshots(t *testing.T) {
+func TestXferInstallSurvivesReopenOverNewerSnapshots(t *testing.T) {
 	// A deposed primary that snapshotted past the new primary's LSN must
 	// reopen at the imported state, not at its own newer, diverged
 	// snapshot: recovery loads the newest snapshot on disk.
@@ -407,9 +400,9 @@ func TestImportStateSurvivesReopenOverNewerSnapshots(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, err := primary.ExportState()
-	if err != nil || st.LSN != 4 {
-		t.Fatalf("export: lsn %d, err %v", st.LSN, err)
+	imported := primary.LSN()
+	if imported != 4 {
+		t.Fatalf("export: lsn %d, want 4", imported)
 	}
 	want, _ := primary.Get("d")
 
@@ -429,7 +422,7 @@ func TestImportStateSurvivesReopenOverNewerSnapshots(t *testing.T) {
 	if deposed.LSN() != 10 {
 		t.Fatalf("deposed lsn %d, want 10", deposed.LSN())
 	}
-	if err := deposed.ImportState(context.Background(), st); err != nil {
+	if _, err := pumpXfer(t, primary, deposed, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := deposed.Close(); err != nil {
@@ -445,7 +438,7 @@ func TestImportStateSurvivesReopenOverNewerSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.LSN() != st.LSN || got.Digest != want.Digest {
-		t.Fatalf("reopened at lsn %d with %s, want the imported lsn %d with %s", re.LSN(), got.XML, st.LSN, want.XML)
+	if re.LSN() != imported || got.Digest != want.Digest {
+		t.Fatalf("reopened at lsn %d with %s, want the imported lsn %d with %s", re.LSN(), got.XML, imported, want.XML)
 	}
 }

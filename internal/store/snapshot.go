@@ -19,8 +19,9 @@ import (
 // file reuses the WAL's framing — an 8-byte magic and one
 // length+CRC-framed JSON payload — and every document carries its AHU
 // digest, re-verified against the re-parsed tree at load time. A
-// snapshot that fails any check (magic, frame, checksum, JSON, digest)
-// is skipped, and recovery falls back to the next-newest one.
+// snapshot that fails any check (magic, frame, checksum, JSON,
+// duplicate id, digest) is skipped, and recovery falls back to the
+// next-newest one. The same file is what state transfer ships.
 //
 // Snapshots are written to a temp file, fsynced, and renamed into
 // place, so a crash mid-write can never shadow an older valid
@@ -123,42 +124,49 @@ func writeSnapshot(dir string, snap snapshot) (string, error) {
 	return final, nil
 }
 
-// loadSnapshot reads and fully verifies one snapshot file: magic,
-// frame checksum, JSON shape, and — after re-parsing each document —
-// the recorded AHU digest.
-func loadSnapshot(path string, lim xmltree.ParseLimits) (snapshot, map[string]*xmltree.Tree, error) {
-	var snap snapshot
+// loadSnapshot reads and fully verifies one snapshot file — magic,
+// frame checksum, JSON shape, unique document ids, and, after
+// re-parsing each document, the recorded AHU digest — and returns its
+// LSN and documents. Recovery and state-transfer installs both load
+// through it, so a shipped state passes exactly the checks a recovered
+// one does.
+func loadSnapshot(path string, lim xmltree.ParseLimits) (uint64, map[string]*doc, error) {
+	name := filepath.Base(path)
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return snap, nil, fmt.Errorf("store: read snapshot: %w", err)
+		return 0, nil, fmt.Errorf("store: read snapshot: %w", err)
 	}
 	if len(b) < len(snapMagic) || string(b[:len(snapMagic)]) != snapMagic {
-		return snap, nil, fmt.Errorf("store: snapshot %s: bad magic", filepath.Base(path))
+		return 0, nil, fmt.Errorf("store: snapshot %s: bad magic", name)
 	}
 	payloads, used, torn := scanFrames(b[len(snapMagic):])
 	if torn || len(payloads) != 1 || len(snapMagic)+used != len(b) {
-		return snap, nil, fmt.Errorf("store: snapshot %s: torn or malformed frame", filepath.Base(path))
+		return 0, nil, fmt.Errorf("store: snapshot %s: torn or malformed frame", name)
 	}
+	var snap snapshot
 	if err := json.Unmarshal(payloads[0], &snap); err != nil {
-		return snap, nil, fmt.Errorf("store: snapshot %s: %w", filepath.Base(path), err)
+		return 0, nil, fmt.Errorf("store: snapshot %s: %w", name, err)
 	}
-	trees := make(map[string]*xmltree.Tree, len(snap.Docs))
+	docs := make(map[string]*doc, len(snap.Docs))
 	for _, d := range snap.Docs {
+		if _, dup := docs[d.ID]; dup {
+			return 0, nil, fmt.Errorf("store: snapshot %s: duplicate doc %q", name, d.ID)
+		}
 		t, err := xmltree.ParseWithLimits(strings.NewReader(d.XML), lim)
 		if err != nil {
-			return snap, nil, fmt.Errorf("store: snapshot %s: doc %q: %w", filepath.Base(path), d.ID, err)
+			return 0, nil, fmt.Errorf("store: snapshot %s: doc %q: %w", name, d.ID, err)
 		}
 		if got := t.Digest(); got != d.Digest {
-			return snap, nil, fmt.Errorf("store: snapshot %s: doc %q digest mismatch (stored %.12s, recomputed %.12s)",
-				filepath.Base(path), d.ID, d.Digest, got)
+			return 0, nil, fmt.Errorf("store: snapshot %s: doc %q digest mismatch (stored %.12s, recomputed %.12s)",
+				name, d.ID, d.Digest, got)
 		}
 		if d.LSN > snap.LSN {
-			return snap, nil, fmt.Errorf("store: snapshot %s: doc %q lsn %d beyond snapshot lsn %d",
-				filepath.Base(path), d.ID, d.LSN, snap.LSN)
+			return 0, nil, fmt.Errorf("store: snapshot %s: doc %q lsn %d beyond snapshot lsn %d",
+				name, d.ID, d.LSN, snap.LSN)
 		}
-		trees[d.ID] = t
+		docs[d.ID] = &doc{id: d.ID, tree: t, lsn: d.LSN, digest: d.Digest}
 	}
-	return snap, trees, nil
+	return snap.LSN, docs, nil
 }
 
 // pruneSnapshots removes all but the keep newest snapshot files,
@@ -218,4 +226,29 @@ func syncDir(dir string) error {
 		return fmt.Errorf("store: fsync dir: %w", err)
 	}
 	return nil
+}
+
+// PublishFile durably replaces dir/name with data: a temp file in dir
+// is written, fsynced and closed, renamed over name, and dir is fsynced
+// so the rename itself survives a power loss. A crash at any point
+// leaves either the old file or the new one, never a torn one.
+func PublishFile(dir, name string, data []byte) error {
+	tmp, err := os.CreateTemp(dir, name+"-*.tmp")
+	if err != nil {
+		return fmt.Errorf("store: publish %s: %w", name, err)
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	if _, err = tmp.Write(data); err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(dir, name))
+	}
+	if err != nil {
+		return fmt.Errorf("store: publish %s: %w", name, err)
+	}
+	return syncDir(dir)
 }

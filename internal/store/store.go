@@ -64,10 +64,6 @@ type Options struct {
 	// further behind catch up by full-state transfer. 0 means the
 	// default 1024; negative disables the buffer entirely.
 	ReplBuffer int
-	// XferChunkBytes is the default chunk size for resumable
-	// full-state transfer (ExportChunk). 0 means 1 MiB; values above
-	// the 8 MiB hard cap are clamped.
-	XferChunkBytes int
 	// Metrics receives the store.* counters and timers; nil gets a
 	// private registry.
 	Metrics *telemetry.Metrics
@@ -85,9 +81,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ReplBuffer == 0 {
 		o.ReplBuffer = 1024
-	}
-	if o.XferChunkBytes <= 0 {
-		o.XferChunkBytes = 1 << 20
 	}
 	if o.Limits == (xmltree.ParseLimits{}) {
 		o.Limits = xmltree.DefaultParseLimits()
@@ -173,11 +166,10 @@ type Store struct {
 	closed    bool
 	replLog   []ReplFrame // bounded tail of committed frames for shipping
 
-	// xferMu guards the resumable state-transfer machinery (separate
+	// xferMu guards the importer's resumable state transfer (separate
 	// from mu: chunk IO must not block the commit path).
-	xferMu  sync.Mutex
-	xferOut []*xferExport // exporter session cache
-	xferIn  *xferProgress // importer resume record (mirrors disk)
+	xferMu sync.Mutex
+	xferIn *xferProgress // importer resume record (mirrors disk)
 }
 
 // Open loads (or initializes) a store rooted at dir: the newest valid
@@ -204,16 +196,12 @@ func Open(dir string, opts Options) (*Store, error) {
 	var snapLSN uint64
 	hadState := len(names) > 0
 	for _, name := range names {
-		snap, trees, err := loadSnapshot(filepath.Join(dir, name), opts.Limits)
+		lsn, docs, err := loadSnapshot(filepath.Join(dir, name), opts.Limits)
 		if err != nil {
 			s.m.Add("store.bad_snapshots", 1)
 			continue
 		}
-		for _, sd := range snap.Docs {
-			s.docs[sd.ID] = &doc{id: sd.ID, tree: trees[sd.ID], lsn: sd.LSN, digest: sd.Digest}
-		}
-		snapLSN = snap.LSN
-		s.lsn = snap.LSN
+		s.docs, snapLSN, s.lsn = docs, lsn, lsn
 		break
 	}
 
@@ -267,12 +255,14 @@ func Open(dir string, opts Options) (*Store, error) {
 					rec.LSN, snapLSN, snapLSN+1, rec.LSN-1)
 			}
 			replayed = true
-			if err := s.applyReplayed(rec); err != nil {
+			commit, err := s.prepareReplayed(rec)
+			if err != nil {
 				if err := abort("store.replay_aborts"); err != nil {
 					return nil, err
 				}
 				break
 			}
+			commit()
 			s.m.Add("store.replayed", 1)
 			s.lsn = rec.LSN
 			s.pushReplFrame(rec.LSN, payload)
@@ -300,52 +290,54 @@ func (w *wal) truncateTo(off int64) error {
 	return nil
 }
 
-// applyReplayed applies one WAL record during recovery through the
-// same mutation path live commits use, then re-verifies the digest the
-// record promised.
-func (s *Store) applyReplayed(rec record) error {
+// prepareReplayed validates a logged record against the current
+// in-memory state — applied through the same mutation path live
+// commits use, with the digest the record promised re-verified — and
+// returns a commit closure that publishes its effect. Nothing is
+// mutated until the closure runs. Recovery replays the WAL through it
+// and ApplyFrames replicated frames; the caller holds s.mu.
+func (s *Store) prepareReplayed(rec record) (func(), error) {
 	switch rec.Type {
 	case "create":
 		if _, ok := s.docs[rec.Doc]; ok {
-			return fmt.Errorf("store: replay create %q: already exists", rec.Doc)
+			return nil, fmt.Errorf("create %q: already exists", rec.Doc)
 		}
-		t, err := xmltree.ParseWithLimits(strings.NewReader(rec.XML), s.opts.Limits)
+		t, err := s.parseLimited(rec.XML)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		digest := t.Digest()
 		if digest != rec.Digest {
-			return fmt.Errorf("store: replay create %q: digest mismatch", rec.Doc)
+			return nil, fmt.Errorf("create %q: digest mismatch", rec.Doc)
 		}
-		s.docs[rec.Doc] = &doc{id: rec.Doc, tree: t, lsn: rec.LSN, digest: digest}
-		return nil
+		return func() {
+			s.docs[rec.Doc] = &doc{id: rec.Doc, tree: t, lsn: rec.LSN, digest: digest}
+		}, nil
 	case "update":
 		d, ok := s.docs[rec.Doc]
 		if !ok {
-			return fmt.Errorf("store: replay update %q: no such doc", rec.Doc)
+			return nil, fmt.Errorf("update %q: no such doc", rec.Doc)
 		}
 		u, _, err := s.parseUpdate(Op{Kind: rec.Kind, Pattern: rec.Pattern, X: rec.X})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		newTree, _, digest, err := applyUpdate(d, u)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if digest != rec.Digest {
-			return fmt.Errorf("store: replay update %q lsn %d: digest mismatch (stored %.12s, replayed %.12s)",
+			return nil, fmt.Errorf("update %q lsn %d: digest mismatch (logged %.12s, applied %.12s)",
 				rec.Doc, rec.LSN, rec.Digest, digest)
 		}
-		s.commitUpdate(d, rec.LSN, rec.Kind, u, newTree, digest)
-		return nil
+		return func() { s.commitUpdate(d, rec.LSN, rec.Kind, u, newTree, digest) }, nil
 	case "drop":
 		if _, ok := s.docs[rec.Doc]; !ok {
-			return fmt.Errorf("store: replay drop %q: no such doc", rec.Doc)
+			return nil, fmt.Errorf("drop %q: no such doc", rec.Doc)
 		}
-		delete(s.docs, rec.Doc)
-		return nil
+		return func() { delete(s.docs, rec.Doc) }, nil
 	}
-	return fmt.Errorf("store: replay: unknown record type %q", rec.Type)
+	return nil, fmt.Errorf("unknown record type %q", rec.Type)
 }
 
 // parseLimited parses an XML document under the store's configured

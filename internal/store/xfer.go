@@ -2,165 +2,157 @@ package store
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"math/rand"
 	"os"
 	"path/filepath"
 
 	"xmlconflict/internal/faultinject"
+	"xmlconflict/internal/telemetry/span"
 )
 
-// Chunked, resumable state transfer: the full-state catch-up path
-// (ExportState/ImportState) shipped the whole store as one unbounded
-// body, so a crash or partition mid-transfer restarted from byte zero
-// and a large store could never finish across a flaky link. Here the
-// exporter serializes the State once per session and serves CRC-framed
-// byte-range chunks; the importer appends each verified chunk to a
-// part file and durably records its progress, so a reopened (or
+// Chunked, resumable state transfer ships the durable snapshot file. A
+// session is the snapshot at the exporter's LSN when the session
+// opened, named by that LSN and the payload CRC in the file's frame
+// header; every chunk is a byte range read from that file, so the
+// exporter keeps nothing per session, and a session lives as long as
+// its file survives pruning. The importer appends each verified chunk
+// to a part file and durably records its progress, so a reopened (or
 // re-connected) importer resumes at the recorded offset instead of
-// restarting. Installation still goes through ImportState at the end —
-// parse- and digest-verified, snapshot-published atomically — so a
-// half-transferred state is never visible to recovery: until the final
-// chunk verifies against the whole-body CRC, the only trace of the
-// transfer is the part file recovery ignores.
+// restarting. When the last byte lands, loadSnapshot — the loader
+// recovery runs — verifies the part file, and a rename publishes it as
+// the store's newest snapshot. Until that rename, the only trace of
+// the transfer is the part file recovery ignores.
 
 const (
 	// xferPartName accumulates verified chunk bytes in the store dir.
 	xferPartName = "repl-xfer.part"
 	// xferProgressName is the durable resume record next to it.
 	xferProgressName = "repl-xfer.json"
+	// xferDefaultChunk is the chunk size when the caller names none;
 	// xferMaxChunk caps a single chunk regardless of what the caller
 	// asks for.
-	xferMaxChunk = 8 << 20
-	// xferKeepSessions bounds the exporter's session cache. Eviction is
-	// LRU on last access (not creation order), and concurrent receivers
-	// pulling the same LSN share one session, so several dirty backups
-	// resyncing at once do not evict each other into restart loops.
-	xferKeepSessions = 8
+	xferDefaultChunk = 1 << 20
+	xferMaxChunk     = 8 << 20
+	// xferMaxTotal is the largest snapshot file loadSnapshot accepts.
+	xferMaxTotal = len(snapMagic) + frameHead + maxRecordBytes
 )
 
-// XferChunk is one CRC-framed slice of a serialized State in transit.
-// Offset/Total are byte positions in the session's stable body; CRC
-// covers Data, TotalCRC the whole body (verified before install).
+// XferChunk is one CRC-framed slice of a snapshot file in transit.
+// Offset/Total are byte positions in the session's file; CRC covers
+// Data. The file's own frame CRC covers the whole payload and is
+// checked at install.
 type XferChunk struct {
-	Session  string `json:"session"`
-	LSN      uint64 `json:"lsn"`
-	Offset   int64  `json:"offset"`
-	Total    int64  `json:"total"`
-	TotalCRC uint32 `json:"total_crc"`
-	CRC      uint32 `json:"crc"`
-	Data     []byte `json:"data"`
-	Last     bool   `json:"last,omitempty"`
-}
-
-// xferExport is one cached exporter session: a byte-stable snapshot of
-// the store's state, so every chunk of a session describes the same
-// LSN no matter how far the store advances meanwhile.
-type xferExport struct {
-	session string
-	lsn     uint64
-	body    []byte
-	crc     uint32
+	Session string `json:"session"`
+	LSN     uint64 `json:"lsn"`
+	Offset  int64  `json:"offset"`
+	Total   int64  `json:"total"`
+	CRC     uint32 `json:"crc"`
+	Data    []byte `json:"data"`
+	Last    bool   `json:"last,omitempty"`
 }
 
 // xferProgress is the importer's durable resume record (same strict
 // load discipline as every other manifest: corrupt means start over,
 // it never guesses).
 type xferProgress struct {
-	Version  int    `json:"version"`
-	Session  string `json:"session"`
-	LSN      uint64 `json:"lsn"`
-	Total    int64  `json:"total"`
-	TotalCRC uint32 `json:"total_crc"`
-	Offset   int64  `json:"offset"`
+	Version int    `json:"version"`
+	Session string `json:"session"`
+	LSN     uint64 `json:"lsn"`
+	Total   int64  `json:"total"`
+	Offset  int64  `json:"offset"`
 }
 
-// ExportChunk serves one chunk of a state-transfer session. An empty
-// or unknown session starts a fresh one (the receiver detects the new
-// session id and restarts its part file); a known session serves the
-// requested offset from the cached, byte-stable body. max <= 0 uses
-// the configured default chunk size.
+// ExportChunk serves bytes [offset, offset+max) of a state-transfer
+// session's snapshot file. An empty session, or one whose file was
+// pruned or no longer carries its CRC, opens a fresh session at the
+// store's current LSN; the receiver detects the new session id and
+// restarts its part file. Sessions opened at one LSN share one id.
+// max <= 0 uses a 1 MiB chunk.
 func (s *Store) ExportChunk(session string, offset int64, max int) (XferChunk, error) {
 	if max <= 0 {
-		max = s.opts.XferChunkBytes
+		max = xferDefaultChunk
 	}
-	if max > xferMaxChunk {
-		max = xferMaxChunk
+	max = min(max, xferMaxChunk)
+	f, id, lsn, err := s.openXferSession(session)
+	if err != nil {
+		return XferChunk{}, err
 	}
-	s.xferMu.Lock()
-	defer s.xferMu.Unlock()
-	idx := -1
-	for i, e := range s.xferOut {
-		if session != "" && e.session == session {
-			idx = i
-			break
-		}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return XferChunk{}, fmt.Errorf("store: xfer stat snapshot: %w", err)
 	}
-	if idx < 0 {
-		// No exact match: before opening a new session, reuse any cached
-		// one already at the store's current LSN — its byte-stable body is
-		// the state the caller would get anyway, so concurrent receivers
-		// (several dirty backups resyncing after a failover) share one
-		// session instead of evicting each other out of the cache.
-		cur := s.LSN()
-		for i, e := range s.xferOut {
-			if e.lsn == cur {
-				idx = i
-				break
-			}
-		}
-	}
-	var ex *xferExport
-	if idx >= 0 {
-		ex = s.xferOut[idx]
-		// Eviction below is LRU on last access: move the hit to the tail
-		// so an active transfer is never pushed out by sessions opened
-		// after it.
-		s.xferOut = append(append(s.xferOut[:idx], s.xferOut[idx+1:]...), ex)
-	} else {
-		st, err := s.ExportState()
-		if err != nil {
-			return XferChunk{}, err
-		}
-		body, err := json.Marshal(st)
-		if err != nil {
-			return XferChunk{}, fmt.Errorf("store: xfer encode state: %w", err)
-		}
-		ex = &xferExport{
-			session: fmt.Sprintf("x%08x%08x", rand.Uint32(), rand.Uint32()),
-			lsn:     st.LSN,
-			body:    body,
-			crc:     crc32.Checksum(body, castagnoli),
-		}
-		s.xferOut = append(s.xferOut, ex)
-		if len(s.xferOut) > xferKeepSessions {
-			s.xferOut = append([]*xferExport(nil), s.xferOut[len(s.xferOut)-xferKeepSessions:]...)
-		}
+	total := fi.Size()
+	if id != session || offset < 0 || offset > total {
 		offset = 0 // a fresh session always starts at byte zero
-		s.m.Add("store.xfer.sessions", 1)
 	}
-	total := int64(len(ex.body))
-	if offset < 0 || offset > total {
-		offset = 0
+	data := make([]byte, min(int64(max), total-offset))
+	if _, err := f.ReadAt(data, offset); err != nil {
+		return XferChunk{}, fmt.Errorf("store: xfer read snapshot: %w", err)
 	}
-	end := offset + int64(max)
-	if end > total {
-		end = total
-	}
-	data := ex.body[offset:end]
 	s.m.Add("store.xfer.chunks_served", 1)
 	return XferChunk{
-		Session:  ex.session,
-		LSN:      ex.lsn,
-		Offset:   offset,
-		Total:    total,
-		TotalCRC: ex.crc,
-		CRC:      crc32.Checksum(data, castagnoli),
-		Data:     data,
-		Last:     end == total,
+		Session: id,
+		LSN:     lsn,
+		Offset:  offset,
+		Total:   total,
+		CRC:     crc32.Checksum(data, castagnoli),
+		Data:    data,
+		Last:    offset+int64(len(data)) == total,
 	}, nil
+}
+
+// openXferSession opens the snapshot file behind session. When session
+// names no such file, it opens a fresh session at the store's current
+// LSN, first taking a snapshot if that LSN has no readable one. Only a
+// snapshot at the current LSN is ever served: a receiver may already
+// hold writes past an older one, and installing it would roll them
+// back.
+func (s *Store) openXferSession(session string) (*os.File, string, uint64, error) {
+	var lsn uint64
+	if _, err := fmt.Sscanf(session, "%16x", &lsn); err == nil {
+		if f, id, err := openSnapshotSession(s.dir, lsn); err == nil {
+			if id == session {
+				return f, id, lsn, nil
+			}
+			f.Close()
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, "", 0, ErrClosed
+	}
+	f, id, err := openSnapshotSession(s.dir, s.lsn)
+	if err != nil {
+		if _, err := s.snapshotLocked(); err != nil {
+			return nil, "", 0, err
+		}
+		if f, id, err = openSnapshotSession(s.dir, s.lsn); err != nil {
+			return nil, "", 0, err
+		}
+	}
+	s.m.Add("store.xfer.sessions", 1)
+	return f, id, s.lsn, nil
+}
+
+// openSnapshotSession opens snap-<lsn>.xcsnap and names its transfer
+// session after the LSN and the payload CRC in the frame header. The
+// open file stays readable even if the snapshot is pruned meanwhile.
+func openSnapshotSession(dir string, lsn uint64) (*os.File, string, error) {
+	f, err := os.Open(filepath.Join(dir, snapName(lsn)))
+	if err != nil {
+		return nil, "", err
+	}
+	hdr := make([]byte, len(snapMagic)+frameHead)
+	if _, err := f.ReadAt(hdr, 0); err != nil || string(hdr[:len(snapMagic)]) != snapMagic {
+		f.Close()
+		return nil, "", fmt.Errorf("store: snapshot %s: bad header", snapName(lsn))
+	}
+	return f, fmt.Sprintf("%016x-%08x", lsn, binary.BigEndian.Uint32(hdr[len(hdr)-4:])), nil
 }
 
 // XferProgress reports the importer's resumable position: the session
@@ -183,8 +175,7 @@ func (s *Store) XferProgress() (session string, offset int64, ok bool) {
 // zero — anything else answers with the offset it actually needs); a
 // chunk at the wrong offset is not an error, the returned offset just
 // rewinds or fast-forwards the sender. When the final byte lands the
-// whole body is CRC-verified, decoded, and installed through
-// ImportState — the atomic temp+rename publish — and the progress
+// part file is installed (see installXferLocked) and the progress
 // record is retired. complete is true only after that install.
 func (s *Store) ImportChunk(ctx context.Context, c XferChunk) (next int64, complete bool, err error) {
 	if err := faultinject.Fire("repl.xfer.chunk"); err != nil {
@@ -193,11 +184,12 @@ func (s *Store) ImportChunk(ctx context.Context, c XferChunk) (next int64, compl
 	if crc32.Checksum(c.Data, castagnoli) != c.CRC {
 		return 0, false, fmt.Errorf("store: xfer chunk at %d: crc mismatch", c.Offset)
 	}
-	if c.Total < 0 || c.Offset < 0 || c.Offset+int64(len(c.Data)) > c.Total {
+	if c.Total < 0 || c.Total > int64(xferMaxTotal) || c.Offset < 0 || c.Offset+int64(len(c.Data)) > c.Total {
 		return 0, false, fmt.Errorf("store: xfer chunk at %d/%d with %d bytes: out of bounds", c.Offset, c.Total, len(c.Data))
 	}
 
 	s.xferMu.Lock()
+	defer s.xferMu.Unlock()
 	p, err := s.loadXferProgressLocked()
 	if err != nil {
 		// A corrupt progress record never resumes a guessed transfer:
@@ -207,70 +199,107 @@ func (s *Store) ImportChunk(ctx context.Context, c XferChunk) (next int64, compl
 	}
 	if p == nil || p.Session != c.Session {
 		if c.Offset != 0 {
-			s.xferMu.Unlock()
 			return 0, false, nil // unknown session: ship me byte zero first
 		}
 		if err := os.WriteFile(filepath.Join(s.dir, xferPartName), nil, 0o644); err != nil {
-			s.xferMu.Unlock()
 			return 0, false, fmt.Errorf("store: xfer part reset: %w", err)
 		}
-		p = &xferProgress{Version: 1, Session: c.Session, LSN: c.LSN, Total: c.Total, TotalCRC: c.TotalCRC}
+		p = &xferProgress{Version: 1, Session: c.Session, LSN: c.LSN, Total: c.Total}
 	}
-	if c.LSN != p.LSN || c.Total != p.Total || c.TotalCRC != p.TotalCRC {
+	if c.LSN != p.LSN || c.Total != p.Total {
 		// The sender's session mutated under us; restart cleanly next call.
 		s.clearXferLocked()
-		s.xferMu.Unlock()
 		return 0, false, fmt.Errorf("store: xfer session %s changed shape mid-transfer", c.Session)
 	}
 	if c.Offset != p.Offset {
-		s.xferMu.Unlock()
 		return p.Offset, false, nil // rewind (or fast-forward) the sender
 	}
 
 	if len(c.Data) > 0 {
 		if err := s.appendXferPartLocked(p, c.Data); err != nil {
-			s.xferMu.Unlock()
 			return 0, false, err
 		}
 		p.Offset += int64(len(c.Data))
 		if err := s.saveXferProgressLocked(*p); err != nil {
-			s.xferMu.Unlock()
 			return 0, false, err
 		}
 		s.xferIn = p
 		s.m.Add("store.xfer.chunks_applied", 1)
 	}
 	if p.Offset < p.Total {
-		s.xferMu.Unlock()
 		return p.Offset, false, nil
 	}
-
-	// Final chunk: verify the whole body, then install atomically.
-	body, err := os.ReadFile(filepath.Join(s.dir, xferPartName))
+	err = s.installXferLocked(ctx, p.LSN)
+	s.clearXferLocked()
 	if err != nil {
-		s.xferMu.Unlock()
-		return 0, false, fmt.Errorf("store: xfer read part: %w", err)
-	}
-	if int64(len(body)) != p.Total || crc32.Checksum(body, castagnoli) != p.TotalCRC {
-		s.clearXferLocked()
-		s.xferMu.Unlock()
-		return 0, false, fmt.Errorf("store: xfer body failed whole-transfer verification (%d bytes)", len(body))
-	}
-	var st State
-	if err := json.Unmarshal(body, &st); err != nil {
-		s.clearXferLocked()
-		s.xferMu.Unlock()
-		return 0, false, fmt.Errorf("store: xfer decode state: %w", err)
-	}
-	s.xferMu.Unlock()
-	if err := s.ImportState(ctx, st); err != nil {
 		return 0, false, err
 	}
-	s.xferMu.Lock()
-	s.clearXferLocked()
-	s.xferMu.Unlock()
 	s.m.Add("store.xfer.installs", 1)
 	return p.Total, true, nil
+}
+
+// installXferLocked replaces this store's entire contents with the
+// received part file: the catch-up path for a replica too far behind
+// for frame shipping, and the reset path for a fenced ex-primary
+// rejoining under a newer epoch. loadSnapshot verifies the file exactly
+// as recovery would; the rename to snap-<lsn>.xcsnap is the commit
+// point. A failure before it leaves the store serving its old state.
+// After it, the WAL, whose history no longer describes this state, is
+// reset and every snapshot past lsn removed (recovery loads the newest
+// one); a failure there fail-stops the store, since memory and disk
+// would otherwise disagree about acknowledged state. The caller holds
+// xferMu.
+func (s *Store) installXferLocked(ctx context.Context, lsn uint64) error {
+	sp := span.FromContext(ctx).Child("store.repl.import")
+	defer sp.End()
+	sp.Set("lsn", lsn)
+	part := filepath.Join(s.dir, xferPartName)
+	snapLSN, docs, err := loadSnapshot(part, s.opts.Limits)
+	if err == nil && snapLSN != lsn {
+		err = fmt.Errorf("store: xfer snapshot at lsn %d, session at lsn %d", snapLSN, lsn)
+	}
+	if err == nil {
+		err = faultinject.Fire("store.xfer.install")
+	}
+	if err != nil {
+		sp.Fail(err)
+		return err
+	}
+	sp.Set("docs", len(docs))
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		sp.Fail(ErrClosed)
+		return ErrClosed
+	}
+	if err := os.Rename(part, filepath.Join(s.dir, snapName(lsn))); err != nil {
+		err = fmt.Errorf("store: xfer publish snapshot: %w", err)
+		sp.Fail(err)
+		return err
+	}
+	s.docs = docs
+	s.advanceLSNLocked(lsn)
+	s.replLog = nil
+	s.sinceSnap = 0
+	s.m.Gauge("store.docs").Set(int64(len(docs)))
+	err = syncDir(s.dir)
+	if err == nil {
+		err = s.w.reset()
+	}
+	if err == nil {
+		// A deposed primary may hold snapshots past the imported LSN.
+		err = removeSnapshotsAbove(s.dir, lsn)
+	}
+	if err != nil {
+		s.closed = true
+		s.w.Close()
+		err = fmt.Errorf("store: xfer install, store fail-stopped: %w", err)
+		sp.Fail(err)
+		return err
+	}
+	pruneSnapshots(s.dir, s.opts.KeepSnapshots, lsn, s.m)
+	return nil
 }
 
 // appendXferPartLocked appends verified chunk bytes durably. The part
@@ -321,40 +350,13 @@ func (s *Store) loadXferProgressLocked() (*xferProgress, error) {
 	return &p, nil
 }
 
-// saveXferProgressLocked durably publishes the resume record
-// (temp + fsync + rename + dir fsync, like every other manifest).
+// saveXferProgressLocked durably publishes the resume record.
 func (s *Store) saveXferProgressLocked(p xferProgress) error {
 	b, err := json.Marshal(p)
 	if err != nil {
 		return fmt.Errorf("store: xfer encode progress: %w", err)
 	}
-	tmp, err := os.CreateTemp(s.dir, "repl-xfer-*.tmp")
-	if err != nil {
-		return fmt.Errorf("store: xfer progress temp: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(append(b, '\n')); err == nil {
-		err = tmp.Sync()
-	}
-	if err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: xfer write progress: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: xfer close progress: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, xferProgressName)); err != nil {
-		return fmt.Errorf("store: xfer publish progress: %w", err)
-	}
-	d, err := os.Open(s.dir)
-	if err != nil {
-		return fmt.Errorf("store: xfer open dir for fsync: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("store: xfer fsync dir: %w", err)
-	}
-	return nil
+	return PublishFile(s.dir, xferProgressName, append(b, '\n'))
 }
 
 // clearXferLocked retires the in-progress transfer's artifacts

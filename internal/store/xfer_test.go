@@ -1,19 +1,29 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"xmlconflict/internal/faultinject"
+	"xmlconflict/internal/xmltree"
 )
 
-// seedXferSource fills a store until its serialized state spans many
-// chunks at the test chunk size.
-func seedXferSource(t *testing.T, chunkBytes int) *Store {
+// xferTestChunk is the chunk size the transfer tests ship at: small
+// enough that the seeded state spans many chunks.
+const xferTestChunk = 1024
+
+// seedXferSource fills a store until its snapshot spans many chunks at
+// xferTestChunk.
+func seedXferSource(t *testing.T) *Store {
 	t.Helper()
-	src, err := Open(t.TempDir(), Options{Fsync: FsyncNever, XferChunkBytes: chunkBytes})
+	src, err := Open(t.TempDir(), Options{Fsync: FsyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,9 +42,10 @@ func seedXferSource(t *testing.T, chunkBytes int) *Store {
 
 // pumpXfer runs the receiver-steered transfer loop the replica layer
 // runs: resume from the destination's durable progress, follow the
-// offsets the importer returns. Returns the chunk count on success; the
-// first ImportChunk error stops the pump and is returned (the "crash").
-func pumpXfer(t *testing.T, src, dst *Store) (int, error) {
+// offsets the importer returns, asking for chunk-byte chunks (0 = the
+// exporter's default). Returns the chunk count on success; the first
+// ImportChunk error stops the pump and is returned (the "crash").
+func pumpXfer(t *testing.T, src, dst *Store, chunk int) (int, error) {
 	t.Helper()
 	session, offset := "", int64(0)
 	if s, o, ok := dst.XferProgress(); ok {
@@ -42,7 +53,7 @@ func pumpXfer(t *testing.T, src, dst *Store) (int, error) {
 	}
 	chunks := 0
 	for {
-		c, err := src.ExportChunk(session, offset, 0)
+		c, err := src.ExportChunk(session, offset, chunk)
 		if err != nil {
 			t.Fatalf("ExportChunk(%s, %d): %v", session, offset, err)
 		}
@@ -85,13 +96,13 @@ func sameDocs(t *testing.T, src, dst *Store) {
 }
 
 func TestXferChunkedTransferRoundTrip(t *testing.T) {
-	src := seedXferSource(t, 1024)
+	src := seedXferSource(t)
 	dst, err := Open(t.TempDir(), Options{Fsync: FsyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dst.Close()
-	chunks, err := pumpXfer(t, src, dst)
+	chunks, err := pumpXfer(t, src, dst, xferTestChunk)
 	if err != nil {
 		t.Fatalf("pump: %v", err)
 	}
@@ -109,14 +120,14 @@ func TestXferChunkedTransferRoundTrip(t *testing.T) {
 // recoverable showing its OLD state (never a blend), and a reopened
 // importer must resume from its durable progress record and finish.
 func TestXferCrashAtEveryChunkBoundary(t *testing.T) {
-	src := seedXferSource(t, 1024)
+	src := seedXferSource(t)
 
 	// A clean run to learn the chunk count.
 	probe, err := Open(t.TempDir(), Options{Fsync: FsyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
-	total, err := pumpXfer(t, src, probe)
+	total, err := pumpXfer(t, src, probe, xferTestChunk)
 	if err != nil {
 		t.Fatalf("probe pump: %v", err)
 	}
@@ -134,7 +145,7 @@ func TestXferCrashAtEveryChunkBoundary(t *testing.T) {
 			faultinject.Arm("repl.xfer.chunk", faultinject.Fault{
 				Kind: faultinject.KindError, After: int64(k), Times: 1,
 			})
-			if _, err := pumpXfer(t, src, dst); err == nil {
+			if _, err := pumpXfer(t, src, dst, xferTestChunk); err == nil {
 				t.Fatal("armed pump completed without the injected crash")
 			}
 			dst.Close()
@@ -155,7 +166,7 @@ func TestXferCrashAtEveryChunkBoundary(t *testing.T) {
 					t.Fatalf("no resumable progress after crash at chunk %d (ok=%v off=%d)", k, ok, off)
 				}
 			}
-			if _, err := pumpXfer(t, src, dst); err != nil {
+			if _, err := pumpXfer(t, src, dst, xferTestChunk); err != nil {
 				t.Fatalf("resumed pump: %v", err)
 			}
 			sameDocs(t, src, dst)
@@ -163,14 +174,14 @@ func TestXferCrashAtEveryChunkBoundary(t *testing.T) {
 	}
 }
 
-// TestXferCrashMidInstall crashes inside the final install (the
-// snapshot write that publishes the imported state): the store
-// fail-stops, and a reopen must come back with the OLD state — the
-// atomic-publish contract of ImportState extended to chunked arrival.
+// TestXferCrashMidInstall crashes inside the final install, after the
+// received file verified and before the rename that publishes it: a
+// reopen must come back with the OLD state — the install is atomic
+// however the transfer arrived.
 func TestXferCrashMidInstall(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
-	src := seedXferSource(t, 1024)
+	src := seedXferSource(t)
 	dir := t.TempDir()
 	dst, err := Open(dir, Options{Fsync: FsyncNever})
 	if err != nil {
@@ -179,9 +190,9 @@ func TestXferCrashMidInstall(t *testing.T) {
 	if _, err := dst.Create("old", "<keep/>"); err != nil {
 		t.Fatal(err)
 	}
-	faultinject.Arm("store.snapshot.write", faultinject.Fault{Kind: faultinject.KindError, Times: 1})
-	if _, err := pumpXfer(t, src, dst); err == nil {
-		t.Fatal("install survived the injected snapshot crash")
+	faultinject.Arm("store.xfer.install", faultinject.Fault{Kind: faultinject.KindError, Times: 1})
+	if _, err := pumpXfer(t, src, dst, xferTestChunk); err == nil {
+		t.Fatal("install survived the injected crash")
 	}
 	dst.Close()
 	faultinject.Reset()
@@ -203,7 +214,7 @@ func TestXferCrashMidInstall(t *testing.T) {
 // out-of-position chunk — it answers with the offset it needs, and an
 // unknown session is told to restart at byte zero.
 func TestXferWrongOffsetSteersSender(t *testing.T) {
-	src := seedXferSource(t, 1024)
+	src := seedXferSource(t)
 	dst, err := Open(t.TempDir(), Options{Fsync: FsyncNever})
 	if err != nil {
 		t.Fatal(err)
@@ -212,11 +223,11 @@ func TestXferWrongOffsetSteersSender(t *testing.T) {
 	ctx := context.Background()
 
 	// Unknown session at a non-zero offset: ship byte zero first.
-	c, err := src.ExportChunk("", 0, 0)
+	c, err := src.ExportChunk("", 0, xferTestChunk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mid, err := src.ExportChunk(c.Session, c.Total/2, 0)
+	mid, err := src.ExportChunk(c.Session, c.Total/2, xferTestChunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,21 +310,25 @@ func TestFramesSincePageBounds(t *testing.T) {
 	}
 }
 
-// TestXferSessionCacheSharesAndKeepsActive pins the exporter cache
-// policy: concurrent receivers at the store's current LSN share one
-// session instead of each opening (and evicting) their own, and
-// eviction is LRU on last access — a session an active transfer keeps
-// touching survives however many fresh sessions open after it.
-func TestXferSessionCacheSharesAndKeepsActive(t *testing.T) {
-	src := seedXferSource(t, 1024)
+// TestXferSessionFollowsSnapshotFile pins the exporter's session rule:
+// receivers opening at one LSN share one session, a session keeps
+// serving its snapshot while commits land for as long as the file
+// exists, and once pruning removes the file the exporter opens a fresh
+// session at the current LSN, from byte zero.
+func TestXferSessionFollowsSnapshotFile(t *testing.T) {
+	src := seedXferSource(t) // keeps the default 2 snapshots
+	bump := func() {
+		t.Helper()
+		if _, err := src.Submit("doc-00", Op{Kind: "insert", Pattern: "/r", X: "<bump/>"}); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	first, err := src.ExportChunk("", 0, 0)
+	first, err := src.ExportChunk("", 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A second receiver opening "fresh" at the same LSN lands on the
-	// same byte-stable session.
-	shared, err := src.ExportChunk("", 0, 0)
+	shared, err := src.ExportChunk("", 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,37 +336,171 @@ func TestXferSessionCacheSharesAndKeepsActive(t *testing.T) {
 		t.Fatalf("same-LSN open split sessions: %s vs %s", shared.Session, first.Session)
 	}
 
-	// Open xferKeepSessions+1 more sessions (the LSN advances before
-	// each, so none can share), touching the first session in between:
-	// under creation-order eviction it would fall out; under LRU on
-	// access it must survive them all.
-	for i := 0; i <= xferKeepSessions; i++ {
-		if _, err := src.Submit("doc-00", Op{Kind: "insert", Pattern: "/r", X: "<bump/>"}); err != nil {
-			t.Fatal(err)
-		}
-		c, err := src.ExportChunk(first.Session, int64(i), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.Session != first.Session {
-			t.Fatalf("active session evicted after %d fresh opens: got %s", i, c.Session)
-		}
-		if c.LSN != first.LSN {
-			t.Fatalf("session %s changed LSN mid-stream: %d -> %d", first.Session, first.LSN, c.LSN)
-		}
-		fresh, err := src.ExportChunk("", 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fresh.Session == first.Session {
-			t.Fatalf("open %d shared a stale-LSN session", i)
-		}
-	}
-	c, err := src.ExportChunk(first.Session, 64, 0)
+	// Commits land and a session opens at the newer LSN; first's file is
+	// still one of the two kept snapshots, so first keeps serving it.
+	bump()
+	second, err := src.ExportChunk("", 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Session != first.Session {
-		t.Fatal("active session evicted despite LRU access")
+	if second.Session == first.Session || second.LSN != src.LSN() {
+		t.Fatalf("open after a commit: session %s at lsn %d, want a new session at lsn %d", second.Session, second.LSN, src.LSN())
+	}
+	c, err := src.ExportChunk(first.Session, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Session != first.Session || c.LSN != first.LSN || c.Offset != 1 {
+		t.Fatalf("live session moved: %s lsn %d offset %d, want %s lsn %d offset 1", c.Session, c.LSN, c.Offset, first.Session, first.LSN)
+	}
+
+	// A third snapshot prunes first's file.
+	bump()
+	if _, err := src.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	c, err = src.ExportChunk(first.Session, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Session == first.Session || c.LSN != src.LSN() || c.Offset != 0 {
+		t.Fatalf("pruned session: %s lsn %d offset %d, want a fresh session at lsn %d offset 0", c.Session, c.LSN, c.Offset, src.LSN())
+	}
+}
+
+// TestXferExporterMemoryIsPerChunk: sessions are byte ranges of files
+// on disk, so an exporter serving sessions at many LSNs keeps no copy
+// of the store per session. Eight sessions over a 1.8 MB snapshot may
+// grow the live heap by less than one snapshot.
+func TestXferExporterMemoryIsPerChunk(t *testing.T) {
+	src, err := Open(t.TempDir(), Options{Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	xml := "<r>" + strings.Repeat("<p/>", 2000) + "</r>"
+	for i := 0; i < 64; i++ {
+		if _, err := src.Create(fmt.Sprintf("doc-%02d", i), xml); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := src.Create("bump", "<b/>"); err != nil {
+		t.Fatal(err)
+	}
+
+	// Two collections each time: the first only moves sync.Pool caches
+	// (encoding/json keeps its last encode buffer, one snapshot's worth)
+	// to the victim cache, the second frees them.
+	var before, after runtime.MemStats
+	liveHeap := func(ms *runtime.MemStats) {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(ms)
+	}
+	liveHeap(&before)
+	var total int64
+	for i := 0; i < 8; i++ {
+		if i > 0 {
+			if _, err := src.Submit("bump", Op{Kind: "insert", Pattern: "/b", X: "<x/>"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c, err := src.ExportChunk("", 0, xferTestChunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total = c.Total
+	}
+	liveHeap(&after)
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("8 sessions grew the live heap by %d bytes; one snapshot is %d", grew, total)
+	if grew > total {
+		t.Fatal("exporter keeps per-session state")
+	}
+}
+
+// TestXferInstallsExporterFile: the importer installs, under the same
+// name, the very file the exporter served.
+func TestXferInstallsExporterFile(t *testing.T) {
+	src := seedXferSource(t)
+	dst, err := Open(t.TempDir(), Options{Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	if _, err := pumpXfer(t, src, dst, xferTestChunk); err != nil {
+		t.Fatalf("pump: %v", err)
+	}
+	name := snapName(src.LSN())
+	want, err := os.ReadFile(filepath.Join(src.dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dst.dir, name))
+	if err != nil {
+		t.Fatalf("importer holds no %s: %v", name, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("installed %s differs from the exporter's (%d vs %d bytes)", name, len(got), len(want))
+	}
+}
+
+// snapshotBody returns the file bytes writeSnapshot produces for snap.
+func snapshotBody(t *testing.T, snap snapshot) []byte {
+	t.Helper()
+	path, err := writeSnapshot(t.TempDir(), snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// importBody ships body to s as the single chunk of a fresh session at
+// lsn.
+func importBody(s *Store, lsn uint64, body []byte) error {
+	_, _, err := s.ImportChunk(context.Background(), XferChunk{
+		Session: "test", LSN: lsn, Total: int64(len(body)),
+		CRC: crc32.Checksum(body, castagnoli), Data: body, Last: true,
+	})
+	return err
+}
+
+// dupDocSnapshot lists document d twice; last-entry-wins would load it
+// as <b/>.
+func dupDocSnapshot() snapshot {
+	return snapshot{LSN: 2, Docs: []snapDoc{
+		{ID: "d", LSN: 1, XML: "<a/>", Digest: xmltree.MustParse("<a/>").Digest()},
+		{ID: "d", LSN: 2, XML: "<b/>", Digest: xmltree.MustParse("<b/>").Digest()},
+	}}
+}
+
+// TestXferRejectsDuplicateDocID: a shipped snapshot listing one id
+// twice fails the install for that reason and leaves the importer's
+// state untouched and usable.
+func TestXferRejectsDuplicateDocID(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Create("keep", "<k/>"); err != nil {
+		t.Fatal(err)
+	}
+	err = importBody(s, 2, snapshotBody(t, dupDocSnapshot()))
+	if err == nil || !strings.Contains(err.Error(), "duplicate") {
+		t.Fatalf("duplicate-id import: %v, want a duplicate-doc rejection", err)
+	}
+	if _, err := s.Get("d"); err == nil || s.LSN() != 1 {
+		t.Fatalf("rejected import leaked state (lsn %d)", s.LSN())
+	}
+	if _, err := s.Get("keep"); err != nil {
+		t.Fatalf("old state lost in rejected import: %v", err)
+	}
+	if _, err := s.Create("ok", "<r/>"); err != nil {
+		t.Fatalf("store unusable after rejected import: %v", err)
 	}
 }
