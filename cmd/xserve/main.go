@@ -63,10 +63,12 @@
 //
 // Observability (same mux):
 //
-//	GET /metrics        Prometheus text exposition: serve_detect_seconds
-//	                    p50/p90/p99, request/error/conflict counters,
-//	                    detector-cache hits/misses, and every engine
-//	                    counter (candidates, cache traffic, ...)
+//	GET /metrics        Prometheus text exposition: one latency summary
+//	                    (p50/p90/p99, trace exemplar) per span name
+//	                    below a request's root — serve_detect_seconds,
+//	                    queue_wait_seconds, store_admit_seconds, ... —
+//	                    request/error/conflict counters, detector-cache
+//	                    hits/misses, and every engine counter
 //	GET /debug/vars     expvar JSON snapshot
 //	GET /debug/pprof/*  live CPU/heap/trace profiling
 //	GET /healthz        liveness
@@ -400,10 +402,15 @@ func (t httpTimeouts) server(h http.Handler) *http.Server {
 var errQueueTimeout = errors.New("worker pool saturated")
 
 // acquireSlot blocks until a pool slot frees, the request's context
-// dies, or the queue timeout lapses. The inflight gauge tracks both
-// edges — set on acquire AND on release — so it drains back to zero when
-// the server goes idle instead of sticking at the high-water mark.
-func (s *server) acquireSlot(ctx context.Context) (release func(), err error) {
+// dies, or the queue timeout lapses. Once the slot is held it opens the
+// "serve.<route>" span ("detect" or "docs"), which covers the whole
+// hold, reply included, and returns a context carrying it: the handler
+// runs its work under that context, and release ends the span and frees
+// the slot. The folded span is the route's service latency, the
+// distribution retryAfter reads. The inflight gauge tracks both edges —
+// set on acquire AND on release — so it drains back to zero when the
+// server goes idle instead of sticking at the high-water mark.
+func (s *server) acquireSlot(ctx context.Context, route string) (context.Context, func(), error) {
 	// The queue wait is its own span: under saturation it is where a
 	// request's latency actually goes.
 	_, qsp := span.Start(ctx, "queue.wait")
@@ -413,18 +420,20 @@ func (s *server) acquireSlot(ctx context.Context) (release func(), err error) {
 	case s.pool <- struct{}{}:
 		qsp.End()
 		s.metrics.Gauge("serve.inflight").Set(int64(len(s.pool)))
-		return func() {
+		ctx, sp := span.Start(ctx, "serve."+route)
+		return ctx, func() {
+			sp.End()
 			<-s.pool
 			s.metrics.Gauge("serve.inflight").Set(int64(len(s.pool)))
 		}, nil
 	case <-ctx.Done():
 		qsp.Fail(ctx.Err())
 		qsp.End()
-		return nil, ctx.Err()
+		return nil, nil, ctx.Err()
 	case <-slotTimer.C:
 		qsp.Fail(errQueueTimeout)
 		qsp.End()
-		return nil, errQueueTimeout
+		return nil, nil, errQueueTimeout
 	}
 }
 
@@ -450,12 +459,12 @@ type retryMemo struct {
 }
 
 // retryAfter tells a shed client how long to back off: the p90 of the
-// named route's observed service latency ("detect" → serve.detect,
-// "docs" → serve.docs) — the time a pool slot realistically takes to
-// free up — rounded up to whole seconds and clamped to [1, 60]. A
-// route with no observations yet answers the 1-second floor. The
-// derivation is memoized per route for retryTTL; an unknown route
-// falls back to the detect distribution.
+// named route's observed service latency — the serve.detect or
+// serve.docs slot spans folded from recorded traces, the time a pool
+// slot realistically takes to free up — rounded up to whole seconds and
+// clamped to [1, 60]. A route with no observations yet answers the
+// 1-second floor. The derivation is memoized per route for retryTTL; an
+// unknown route falls back to the detect distribution.
 func (s *server) retryAfter(route string) string {
 	if _, ok := s.retry[route]; !ok {
 		route = "detect"
@@ -545,16 +554,14 @@ func (s *server) handleDetect(w http.ResponseWriter, r *http.Request) {
 
 	// Acquire a worker-pool slot; bounded waiting keeps overload
 	// failures fast and explicit instead of queueing unboundedly.
-	release, err := s.acquireSlot(r.Context())
+	ctx, release, err := s.acquireSlot(r.Context(), "detect")
 	if err != nil {
 		s.rejectSlot(w, err, "detect")
 		return
 	}
 	defer release()
 
-	begin := time.Now()
-	resp, status, err := s.detect(r.Context(), req)
-	s.metrics.Timer("serve.detect").ObserveTraced(time.Since(begin), traceID(r))
+	resp, status, err := s.detect(ctx, req)
 	if err == nil {
 		flagDegraded(r, resp.Complete)
 		if resp.Conflict {
@@ -611,20 +618,19 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	// One slot covers the whole batch; the fan-out below is what uses
 	// the pool's parallelism.
-	release, err := s.acquireSlot(r.Context())
+	ctx, release, err := s.acquireSlot(r.Context(), "detect")
 	if err != nil {
 		s.rejectSlot(w, err, "detect")
 		return
 	}
 	defer release()
 
-	opts = opts.WithStats(s.metrics).WithContext(r.Context())
+	opts = opts.WithStats(s.metrics).WithContext(ctx)
 	if deadlineMs > 0 {
 		opts = opts.WithTimeout(time.Duration(deadlineMs) * time.Millisecond)
 	}
 	begin := time.Now()
 	results, err := xmlconflict.DetectBatchResults(items, opts, cap(s.pool), s.cache)
-	s.metrics.Timer("serve.detect").ObserveTraced(time.Since(begin), traceID(r))
 	if err != nil {
 		// Batch-wide failure (the request context died); per-pair
 		// failures land in their own slots below instead.
@@ -686,7 +692,7 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	release, err := s.acquireSlot(r.Context())
+	ctx, release, err := s.acquireSlot(r.Context(), "detect")
 	if err != nil {
 		s.rejectSlot(w, err, "detect")
 		return
@@ -700,7 +706,7 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	search := xmlconflict.SearchOptions{
 		MaxNodes:      req.MaxNodes,
 		MaxCandidates: req.MaxCandidates,
-	}.WithStats(s.metrics).WithContext(r.Context())
+	}.WithStats(s.metrics).WithContext(ctx)
 	if req.DeadlineMs > 0 {
 		search = search.WithTimeout(time.Duration(req.DeadlineMs) * time.Millisecond)
 	}
@@ -712,7 +718,6 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	begin := time.Now()
 	a, err := xmlconflict.AnalyzeProgram(prog, aopts)
-	s.metrics.Timer("serve.detect").ObserveTraced(time.Since(begin), traceID(r))
 	if err != nil {
 		s.finish(w, r, http.StatusUnprocessableEntity, nil, err)
 		return

@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	"xmlconflict/internal/shard"
 	"xmlconflict/internal/store"
@@ -232,13 +231,12 @@ func (s *server) handleDocUpdate(w http.ResponseWriter, r *http.Request) {
 	defer tenantRelease()
 	// Admission runs the commute/fired-semantics checks — detection
 	// work — so it rides the same bounded worker pool as /v1/detect.
-	release, err := s.acquireSlot(r.Context())
+	ctx, release, err := s.acquireSlot(r.Context(), "docs")
 	if err != nil {
 		s.rejectSlot(w, err, "docs")
 		return
 	}
 	defer release()
-	begin := time.Now()
 	op := store.Op{
 		Kind:    req.Op,
 		Pattern: req.Pattern,
@@ -246,10 +244,7 @@ func (s *server) handleDocUpdate(w http.ResponseWriter, r *http.Request) {
 		Sem:     sem,
 		BaseLSN: req.BaseLSN,
 	}
-	res, err := s.submitDoc(r.Context(), r.PathValue("id"), op)
-	// The docs route keeps its own latency distribution: its Retry-After
-	// hint must track fsync-bound store latency, not detect latency.
-	s.metrics.Timer("serve.docs").ObserveTraced(time.Since(begin), traceID(r))
+	res, err := s.submitDoc(ctx, r.PathValue("id"), op)
 	if err != nil {
 		if s.replRedirect(w, r, err, r.PathValue("id"), &op, req) || s.replStoreErr(w, r, err) {
 			return

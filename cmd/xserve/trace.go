@@ -7,11 +7,16 @@ package main
 // degraded, and conflicting ones are always kept (per-category rings),
 // so the forensics for a 409 or a tail-latency spike survive fast
 // traffic. GET /v1/trace/{id} replays a held trace; /debug/requests
-// lists what the recorder holds.
+// lists what the recorder holds. Each recorded trace is also folded into
+// /metrics: every span below the root feeds the timer named after it,
+// so per-layer latency and the traces that sample it come from the same
+// spans.
 
 import (
 	"net/http"
+	"time"
 
+	"xmlconflict/internal/telemetry"
 	"xmlconflict/internal/telemetry/span"
 )
 
@@ -67,9 +72,27 @@ func (s *server) traced(name string, h http.HandlerFunc) http.HandlerFunc {
 			case status == http.StatusConflict:
 				tr.Flag("conflict")
 			}
-			s.recorder.Record(tr)
+			v := s.recorder.Record(tr)
+			observeLayers(s.metrics, v.TraceID, v.Root)
 		}()
 		h(sw, r.WithContext(span.Context(r.Context(), root)))
+	}
+}
+
+// observeLayers adds the duration of every closed span below parent to
+// the timer named after that span ("queue.wait", "serve.docs",
+// "store.admit", ...), with the trace as the timer's exemplar. The
+// traced wrapper passes the request's root, which is skipped: it is the
+// whole request, which clients time themselves, and its names ("detect",
+// "batch") are also engine span names. Spans still open when the trace
+// was recorded have no duration yet and are skipped too. Span names are
+// literals in the code, so the set of timers is fixed.
+func observeLayers(m *telemetry.Metrics, traceID string, parent span.SpanView) {
+	for _, c := range parent.Children {
+		if !c.Open {
+			m.Timer(c.Name).ObserveTraced(time.Duration(c.DurationUs)*time.Microsecond, traceID)
+		}
+		observeLayers(m, traceID, c)
 	}
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"xmlconflict/internal/faultinject"
+	"xmlconflict/internal/telemetry"
 	"xmlconflict/internal/telemetry/span"
 )
 
@@ -215,7 +218,8 @@ func TestRetryAfterClampAndMemoization(t *testing.T) {
 }
 
 // TestDebugRequestsJSONUnderLoad: the flight-recorder listing stays
-// valid JSON while traffic churns the rings.
+// valid JSON while traffic churns the rings, and a listed trace is
+// readable at /v1/trace/{id}.
 func TestDebugRequestsJSONUnderLoad(t *testing.T) {
 	s, ts := testServer(t, 4)
 	dumpTracesOnFailure(t, s)
@@ -262,7 +266,7 @@ func TestDebugRequestsJSONUnderLoad(t *testing.T) {
 		t.Fatalf("recorder saw no traffic: %+v", snap)
 	}
 	// Per-trace detail parses too.
-	resp, err := http.Get(ts.URL + "/debug/requests/" + snap.Recent[0].TraceID)
+	resp, err := http.Get(ts.URL + "/v1/trace/" + snap.Recent[0].TraceID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +274,7 @@ func TestDebugRequestsJSONUnderLoad(t *testing.T) {
 	resp.Body.Close()
 	var v span.TraceView
 	if resp.StatusCode != http.StatusOK || json.Unmarshal(data, &v) != nil {
-		t.Fatalf("/debug/requests/{id} = %d: %.200s", resp.StatusCode, data)
+		t.Fatalf("/v1/trace/{id} = %d: %.200s", resp.StatusCode, data)
 	}
 }
 
@@ -304,5 +308,134 @@ func TestErrorTraceCaptured(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("degraded request's trace flags = %v, want degraded", v.Flags)
+	}
+}
+
+// TestObserveLayers folds a hand-built trace: every closed span below
+// the root feeds the timer named after it exactly once, with the trace
+// as exemplar. The root is skipped even though an engine span below it
+// shares its name, and an open span is skipped while its closed child
+// still counts.
+func TestObserveLayers(t *testing.T) {
+	const tid = "0af7651916cd43dd8448eb211c80319c"
+	root := span.SpanView{Name: "detect", DurationUs: 900, Children: []span.SpanView{
+		{Name: "queue.wait", DurationUs: 5},
+		{Name: "serve.detect", DurationUs: 800, Children: []span.SpanView{
+			{Name: "detect", DurationUs: 700, Children: []span.SpanView{
+				{Name: "search", DurationUs: 600, Open: true, Children: []span.SpanView{
+					{Name: "shrink", DurationUs: 40},
+				}},
+			}},
+		}},
+	}}
+	m := telemetry.New()
+	observeLayers(m, tid, root)
+	snap := m.Snapshot()
+	want := map[string]time.Duration{
+		"queue.wait":   5 * time.Microsecond,
+		"serve.detect": 800 * time.Microsecond,
+		"detect":       700 * time.Microsecond,
+		"shrink":       40 * time.Microsecond,
+	}
+	for name, d := range want {
+		ts := snap.Timers[name]
+		if ts.Count != 1 || ts.Total != d || ts.MaxTraceID != tid {
+			t.Errorf("%s: count %d, total %v, exemplar %q; want 1, %v, %q", name, ts.Count, ts.Total, ts.MaxTraceID, d, tid)
+		}
+	}
+	if len(snap.Timers) != len(want) {
+		t.Errorf("timers = %v, want exactly %d (open span skipped)", snap.Timers, len(want))
+	}
+}
+
+// TestMetricsFoldRequestLayers: one document update and one detection
+// through the real routes leave an aggregate for every layer their
+// traces hold — a nonzero _count and a trace exemplar on /metrics — and
+// the slot spans' exemplars name the requests that produced them.
+func TestMetricsFoldRequestLayers(t *testing.T) {
+	s := newStoreServer(t, t.TempDir()) // fsync always
+	dumpTracesOnFailure(t, s)
+	ts := httptest.NewServer(s.routes())
+	defer ts.Close()
+	c := ts.Client()
+
+	if resp, out := doJSON(t, c, "POST", ts.URL+"/v1/docs", map[string]any{"doc": "d", "xml": "<a/>"}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create = %d: %v", resp.StatusCode, out)
+	}
+	resp, out := doJSON(t, c, "POST", ts.URL+"/v1/docs/d/update", map[string]any{"op": "insert", "pattern": "/a", "x": "<x/>"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("update = %d: %v", resp.StatusCode, out)
+	}
+	updateID := resp.Header.Get("X-Trace-Id")
+	dresp, data := postDetect(t, ts.URL, `{"read":"//C","insert":"/*/B","x":"<C/>"}`)
+	if dresp.StatusCode != http.StatusOK {
+		t.Fatalf("detect = %d: %s", dresp.StatusCode, data)
+	}
+	detectID := dresp.Header.Get("X-Trace-Id")
+
+	mresp, err := c.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	text := string(body)
+	for _, layer := range []string{
+		"queue_wait", "serve_docs", "serve_detect", "store_update", "store_admit",
+		"store_apply", "store_wal_append", "store_fsync", "detect_cached",
+	} {
+		pn := "xmlconflict_" + layer + "_seconds"
+		var count int
+		if _, err := fmt.Sscanf(lineWithPrefix(text, pn+"_count "), pn+"_count %d", &count); err != nil || count < 1 {
+			t.Errorf("%s_count missing or zero (err %v) in /metrics:\n%s", pn, err, text)
+		}
+		if lineWithPrefix(text, "# EXEMPLAR "+pn+" ") == "" {
+			t.Errorf("no exemplar for %s", pn)
+		}
+	}
+	for pn, id := range map[string]string{"serve_docs": updateID, "serve_detect": detectID} {
+		want := fmt.Sprintf("# EXEMPLAR xmlconflict_%s_seconds trace_id=%q", pn, id)
+		if !strings.Contains(text, want) {
+			t.Errorf("missing %q: the slot span's exemplar must name its request", want)
+		}
+	}
+}
+
+// lineWithPrefix returns the first line of text starting with prefix,
+// or "".
+func lineWithPrefix(text, prefix string) string {
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, prefix) {
+			return line
+		}
+	}
+	return ""
+}
+
+// TestRetryAfterFromTraffic: the Retry-After hint follows real traffic,
+// not only hand-fed timers. One document update held 1.1 s by an
+// injected fsync latency reaches the docs hint through its folded
+// serve.docs span (p90 1.1 s, rounded up to 2); the detect route saw no
+// traffic and keeps its 1-second floor.
+func TestRetryAfterFromTraffic(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	s := newStoreServer(t, t.TempDir()) // fsync always
+	s.retryTTL = 0
+	ts := httptest.NewServer(s.routes())
+	defer ts.Close()
+	c := ts.Client()
+
+	if resp, out := doJSON(t, c, "POST", ts.URL+"/v1/docs", map[string]any{"doc": "d", "xml": "<a/>"}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create = %d: %v", resp.StatusCode, out)
+	}
+	faultinject.Arm("store.fsync", faultinject.Fault{Kind: faultinject.KindLatency, Delay: 1100 * time.Millisecond, Times: 1})
+	if resp, out := doJSON(t, c, "POST", ts.URL+"/v1/docs/d/update", map[string]any{"op": "insert", "pattern": "/a", "x": "<x/>"}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("update = %d: %v", resp.StatusCode, out)
+	}
+	if got := s.retryAfter("docs"); got != "2" {
+		t.Errorf("docs Retry-After = %q after a 1.1 s update, want 2", got)
+	}
+	if got := s.retryAfter("detect"); got != "1" {
+		t.Errorf("detect Retry-After = %q with no detect traffic, want 1", got)
 	}
 }

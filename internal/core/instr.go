@@ -43,13 +43,6 @@ func (in *instr) gaugeMax(name string, v int64) {
 	}
 }
 
-func (in *instr) timer(name string) func() {
-	if in == nil || in.m == nil {
-		return func() {}
-	}
-	return in.m.Timer(name).Start()
-}
-
 func (in *instr) progressStart(phase string, total int64) {
 	if in != nil {
 		in.pr.Start(phase, total)
@@ -68,8 +61,8 @@ func (in *instr) progressFinish() {
 	}
 }
 
-// WithStats returns a copy of o accumulating counters, gauges, and
-// timers into st.
+// WithStats returns a copy of o accumulating counters and gauges into
+// st.
 func (o SearchOptions) WithStats(st *telemetry.Metrics) SearchOptions {
 	o.Stats = st
 	return o

@@ -32,7 +32,6 @@ import (
 // checked.
 func SearchConflictParallel(r ops.Read, u ops.Update, sem ops.Semantics, opts SearchOptions, workers int) (verdict Verdict, rerr error) {
 	in := observer(opts)
-	defer in.timer("search.time")()
 	r = ops.Read{P: containment.MinimizeStats(r.P, in.metrics())}
 	u = minimizeUpdateStats(u, in.metrics())
 	bound := WitnessBound(r, u)

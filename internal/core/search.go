@@ -30,8 +30,8 @@ type SearchOptions struct {
 	// When the cap is hit, the verdict is marked incomplete.
 	MaxCandidates int
 
-	// Stats, when non-nil, accumulates counters, gauges, and timers from
-	// the decision procedures (candidates examined, automata product
+	// Stats, when non-nil, accumulates counters and gauges from the
+	// decision procedures (candidates examined, automata product
 	// sizes, cache traffic, ...). See the WithStats helper.
 	Stats *telemetry.Metrics
 	// Progress, when non-nil, receives throttled progress reports from
@@ -101,7 +101,6 @@ func WitnessBound(r ops.Read, u ops.Update) int {
 // unavoidable (unless P = NP) for branching patterns.
 func SearchConflict(r ops.Read, u ops.Update, sem ops.Semantics, opts SearchOptions) (verdict Verdict, rerr error) {
 	in := observer(opts)
-	defer in.timer("search.time")()
 	// Minimization preserves [[p]](t) on every tree (homomorphism-
 	// witnessed redundancy only), so the minimized instance has exactly
 	// the same conflicts — with a smaller Lemma 11 bound and alphabet.

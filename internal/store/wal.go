@@ -281,15 +281,14 @@ func (w *wal) Append(payload []byte, sp *span.Span) (ack func() error, err error
 	return func() error { return w.waitFlushed(gen) }, nil
 }
 
-// syncNow performs one observed, fault-injectable fsync.
+// syncNow performs one fault-injectable fsync. Its caller times it: the
+// "store.fsync" span of an FsyncAlways append, or the group flush's
+// timer.
 func (w *wal) syncNow() error {
 	if err := faultinject.Fire("store.fsync"); err != nil {
 		return err
 	}
-	stop := w.m.Timer("store.fsync").Start()
-	err := w.f.Sync()
-	stop()
-	if err != nil {
+	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("store: wal fsync: %w", err)
 	}
 	return nil
@@ -356,7 +355,11 @@ func (w *wal) flushOnce() {
 	if target == already || poisoned {
 		return
 	}
+	// The group fsync runs outside every request trace, so no span
+	// covers it: it is timed here instead.
+	stop := w.m.Timer("store.fsync").Start()
 	err := w.syncNow()
+	stop()
 	w.mu.Lock()
 	if err != nil {
 		if w.err == nil {

@@ -213,40 +213,3 @@ func (h *Histogram) Quantile(q float64) int64 {
 	}
 	return h.max.Load()
 }
-
-// HistogramStats is the snapshot of one histogram. Exemplar/MaxTraceID
-// identify the epoch-max observation (see ObserveTraced), so a latency
-// spike in /debug/vars links straight to a flight-recorder trace.
-type HistogramStats struct {
-	Count      int64  `json:"count"`
-	Sum        int64  `json:"sum"`
-	Mean       int64  `json:"mean"`
-	Max        int64  `json:"max"`
-	P50        int64  `json:"p50"`
-	P90        int64  `json:"p90"`
-	P99        int64  `json:"p99"`
-	Exemplar   int64  `json:"exemplar,omitempty"`
-	MaxTraceID string `json:"max_trace_id,omitempty"`
-}
-
-// Stats captures count, sum, mean, max, and the standard latency
-// quantiles in one pass. Concurrent writers may land between the reads,
-// so the fields are each individually accurate but only approximately
-// mutually consistent — fine for monitoring.
-func (h *Histogram) Stats() HistogramStats {
-	if h == nil {
-		return HistogramStats{}
-	}
-	ev, et := h.MaxExemplar()
-	return HistogramStats{
-		Count:      h.Count(),
-		Sum:        h.Sum(),
-		Mean:       h.Mean(),
-		Max:        h.Max(),
-		P50:        h.Quantile(0.50),
-		P90:        h.Quantile(0.90),
-		P99:        h.Quantile(0.99),
-		Exemplar:   ev,
-		MaxTraceID: et,
-	}
-}

@@ -77,15 +77,14 @@ func TestHistogramQuantiles(t *testing.T) {
 func TestHistogramSingleObservation(t *testing.T) {
 	h := NewHistogram()
 	h.ObserveDuration(42 * time.Microsecond)
-	st := h.Stats()
 	v := int64(42 * time.Microsecond)
-	if st.Count != 1 || st.Sum != v || st.Max != v {
-		t.Fatalf("stats = %+v", st)
+	if h.Count() != 1 || h.Sum() != v || h.Max() != v {
+		t.Fatalf("count/sum/max = %d/%d/%d", h.Count(), h.Sum(), h.Max())
 	}
 	// With one observation every quantile is that observation (capped at
 	// the exact max, not the bucket bound).
-	if st.P50 != v || st.P90 != v || st.P99 != v {
-		t.Fatalf("quantiles of a single observation: %+v", st)
+	if p50, p90, p99 := h.Quantile(0.5), h.Quantile(0.9), h.Quantile(0.99); p50 != v || p90 != v || p99 != v {
+		t.Fatalf("quantiles of a single observation: %d %d %d", p50, p90, p99)
 	}
 }
 
@@ -96,7 +95,7 @@ func TestHistogramEmptyAndNegative(t *testing.T) {
 	}
 	h.Observe(-5) // clamped to 0, not a panic or a wild bucket
 	if h.Count() != 1 || h.Sum() != 0 || h.Quantile(1) != 0 {
-		t.Fatalf("negative observation: %+v", h.Stats())
+		t.Fatalf("negative observation: count/sum/p100 = %d/%d/%d", h.Count(), h.Sum(), h.Quantile(1))
 	}
 }
 
@@ -109,9 +108,6 @@ func TestHistogramNilSafe(t *testing.T) {
 	}
 	if h.Quantile(0.5) != 0 {
 		t.Fatal("nil histogram quantile")
-	}
-	if st := h.Stats(); st != (HistogramStats{}) {
-		t.Fatalf("nil histogram stats: %+v", st)
 	}
 }
 
@@ -131,7 +127,7 @@ func TestHistogramConcurrentRecording(t *testing.T) {
 				h.Observe(int64(w*perWorker + i))
 				if i%1000 == 0 {
 					h.Quantile(0.99) // concurrent reads must be safe too
-					h.Stats()
+					h.Mean()
 				}
 			}
 		}(w)
@@ -156,21 +152,6 @@ func TestHistogramConcurrentRecording(t *testing.T) {
 	}
 }
 
-func TestMetricsHistogramRegistry(t *testing.T) {
-	m := New()
-	if a, b := m.Histogram("lat"), m.Histogram("lat"); a != b {
-		t.Fatal("same name must return the same histogram")
-	}
-	m.Histogram("lat").Observe(100)
-	s := m.Snapshot()
-	hs, ok := s.Histograms["lat"]
-	if !ok || hs.Count != 1 || hs.Max != 100 {
-		t.Fatalf("snapshot histograms: %+v", s.Histograms)
-	}
-	var nilM *Metrics
-	nilM.Histogram("x").Observe(1) // nil registry -> nil histogram -> no-op
-}
-
 func TestHistogramExemplar(t *testing.T) {
 	h := NewHistogram()
 	if v, id := h.MaxExemplar(); v != 0 || id != "" {
@@ -190,11 +171,6 @@ func TestHistogramExemplar(t *testing.T) {
 	h.ObserveTraced(10_000, "") // empty trace ID never competes
 	if _, id := h.MaxExemplar(); id != "ccc" {
 		t.Fatalf("exemplar trace = %q, want ccc", id)
-	}
-
-	st := h.Stats()
-	if st.MaxTraceID != "ccc" || st.Exemplar != 300 {
-		t.Fatalf("stats exemplar = %+v", st)
 	}
 
 	// Epoch rollover: after exemplarEpoch more observations, a smaller

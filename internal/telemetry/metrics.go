@@ -136,15 +136,6 @@ func (t *Timer) Quantile(q float64) time.Duration {
 	return time.Duration(t.h.Quantile(q))
 }
 
-// Hist exposes the timer's underlying histogram (nil for the nil timer),
-// e.g. for exposition formats that want the raw distribution.
-func (t *Timer) Hist() *Histogram {
-	if t == nil {
-		return nil
-	}
-	return &t.h
-}
-
 // Metrics is a registry of named counters, gauges, and timers, created
 // lazily on first use. The nil *Metrics is a valid disabled registry:
 // lookups return nil instruments, which in turn discard updates.
@@ -157,11 +148,10 @@ func (t *Timer) Hist() *Histogram {
 // sharded. The label suffix uses '|' followed by comma-separated k=v
 // pairs; obshttp renders it as a Prometheus label block.
 type Metrics struct {
-	mu         sync.RWMutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	timers     map[string]*Timer
-	histograms map[string]*Histogram
+	mu       sync.RWMutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	timers   map[string]*Timer
 
 	// parent/labels make this a labeled view: instruments live in the
 	// parent's maps under label-suffixed names. Both are immutable after
@@ -317,31 +307,6 @@ func (m *Metrics) Timer(name string) *Timer {
 	return t
 }
 
-// Histogram returns the named histogram, creating it on first use.
-func (m *Metrics) Histogram(name string) *Histogram {
-	if m == nil {
-		return nil
-	}
-	name = m.full(name)
-	m = m.root()
-	m.mu.RLock()
-	h := m.histograms[name]
-	m.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.histograms == nil {
-		m.histograms = map[string]*Histogram{}
-	}
-	if h = m.histograms[name]; h == nil {
-		h = &Histogram{}
-		m.histograms[name] = h
-	}
-	return h
-}
-
 // TimerStats is the snapshot of one timer: totals plus latency
 // quantiles drawn from the timer's histogram. MaxTraceID is the trace
 // exemplar of the epoch-max observation, when one was recorded via
@@ -360,19 +325,17 @@ type TimerStats struct {
 
 // Snapshot is a point-in-time copy of a registry's values.
 type Snapshot struct {
-	Counters   map[string]int64          `json:"counters,omitempty"`
-	Gauges     map[string]int64          `json:"gauges,omitempty"`
-	Timers     map[string]TimerStats     `json:"timers,omitempty"`
-	Histograms map[string]HistogramStats `json:"histograms,omitempty"`
+	Counters map[string]int64      `json:"counters,omitempty"`
+	Gauges   map[string]int64      `json:"gauges,omitempty"`
+	Timers   map[string]TimerStats `json:"timers,omitempty"`
 }
 
 // Snapshot copies the current values of every registered instrument.
 func (m *Metrics) Snapshot() Snapshot {
 	s := Snapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]int64{},
-		Timers:     map[string]TimerStats{},
-		Histograms: map[string]HistogramStats{},
+		Counters: map[string]int64{},
+		Gauges:   map[string]int64{},
+		Timers:   map[string]TimerStats{},
 	}
 	if m == nil {
 		return s
@@ -394,9 +357,6 @@ func (m *Metrics) Snapshot() Snapshot {
 			Exemplar: time.Duration(exVal), MaxTraceID: exTrace,
 		}
 	}
-	for name, h := range m.histograms {
-		s.Histograms[name] = h.Stats()
-	}
 	return s
 }
 
@@ -416,10 +376,6 @@ func (s Snapshot) String() string {
 	for name, t := range s.Timers {
 		lines = append(lines, fmt.Sprintf("%-40s %d obs, total %v, mean %v, p50 %v, p99 %v",
 			name, t.Count, t.Total, t.Mean, t.P50, t.P99))
-	}
-	for name, h := range s.Histograms {
-		lines = append(lines, fmt.Sprintf("%-40s %d obs, mean %d, p50 %d, p90 %d, p99 %d, max %d",
-			name, h.Count, h.Mean, h.P50, h.P90, h.P99, h.Max))
 	}
 	sort.Strings(lines)
 	if len(lines) == 0 {

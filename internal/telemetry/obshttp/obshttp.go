@@ -2,8 +2,8 @@
 // *http.ServeMux:
 //
 //	/metrics        Prometheus text exposition of a telemetry registry
-//	                (counters, gauges; timers and histograms as summaries
-//	                with p50/p90/p99 quantiles) plus process basics
+//	                (counters, gauges; timers as summaries with
+//	                p50/p90/p99 quantiles) plus process basics
 //	/debug/vars     expvar JSON (everything published via Metrics.Publish)
 //	/debug/pprof/*  the standard pprof handlers (CPU profile, heap, trace)
 //	/healthz        liveness probe (always 200 while the process serves)
@@ -56,8 +56,9 @@ type Options struct {
 	// Namespace prefixes every exported metric name; empty selects
 	// "xmlconflict".
 	Namespace string
-	// Recorder, when non-nil, serves the flight recorder's holdings at
-	// /debug/requests (JSON list) and /debug/requests/{id} (one trace).
+	// Recorder, when non-nil, lists the flight recorder's holdings at
+	// /debug/requests (JSON). One trace is read where the recorder's
+	// owner serves it (xserve: GET /v1/trace/{id}).
 	Recorder *span.FlightRecorder
 }
 
@@ -88,19 +89,6 @@ func Mount(mux *http.ServeMux, opts Options) {
 			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
 			_ = enc.Encode(rec.List())
-		})
-		mux.HandleFunc("GET /debug/requests/{id}", func(w http.ResponseWriter, r *http.Request) {
-			v, ok := rec.Get(r.PathValue("id"))
-			if !ok {
-				w.Header().Set("Content-Type", "application/json")
-				w.WriteHeader(http.StatusNotFound)
-				io.WriteString(w, `{"error":"trace not held","reason":"not-found"}`+"\n")
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(v)
 		})
 	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -170,12 +158,12 @@ func negotiateOpenMetrics(accept string) bool {
 
 // WritePrometheus renders a registry snapshot in the Prometheus text
 // exposition format (version 0.0.4). Counters and gauges map directly;
-// timers become summaries in seconds (<name>_seconds{quantile="..."});
-// histograms become summaries in their native unit. Process-level
-// series (<ns>_uptime_seconds, <ns>_goroutines, <ns>_heap_alloc_bytes)
-// are always appended. Output order is deterministic. Exemplars appear
-// only as # EXEMPLAR comments (scrapers of this format drop them);
-// WriteOpenMetrics carries them as real exemplars.
+// timers become summaries in seconds (<name>_seconds{quantile="..."}).
+// Process-level series (<ns>_uptime_seconds, <ns>_goroutines,
+// <ns>_heap_alloc_bytes) are always appended. Output order is
+// deterministic. Exemplars appear only as # EXEMPLAR comments (scrapers
+// of this format drop them); WriteOpenMetrics carries them as real
+// exemplars.
 func WritePrometheus(w io.Writer, ns string, s telemetry.Snapshot) {
 	writeExposition(w, ns, s, false)
 }
@@ -237,24 +225,6 @@ func writeExposition(w io.Writer, ns string, s telemetry.Snapshot, om bool) {
 				// Exemplar as a comment: links the epoch-max observation to
 				// a flight-recorder trace without leaving text-format 0.0.4.
 				fmt.Fprintf(w, "# EXEMPLAR %s%s trace_id=%q\n", pn, lb, t.MaxTraceID)
-			}
-		}
-	}
-	for _, name := range sortedSeries(s.Histograms) {
-		h := s.Histograms[name]
-		pn, lb := promSeries(ns, name)
-		typeLine(pn, "summary")
-		fmt.Fprintf(w, "%s%s %d\n", pn, withQuantile(lb, "0.5"), h.P50)
-		fmt.Fprintf(w, "%s%s %d\n", pn, withQuantile(lb, "0.9"), h.P90)
-		fmt.Fprintf(w, "%s%s %d\n", pn, withQuantile(lb, "0.99"), h.P99)
-		fmt.Fprintf(w, "%s_sum%s %d\n", pn, lb, h.Sum)
-		switch {
-		case om && h.MaxTraceID != "":
-			fmt.Fprintf(w, "%s_count%s %d # {trace_id=%q} %d\n", pn, lb, h.Count, h.MaxTraceID, h.Exemplar)
-		default:
-			fmt.Fprintf(w, "%s_count%s %d\n", pn, lb, h.Count)
-			if h.MaxTraceID != "" {
-				fmt.Fprintf(w, "# EXEMPLAR %s%s trace_id=%q value=%d\n", pn, lb, h.MaxTraceID, h.Exemplar)
 			}
 		}
 	}

@@ -16,7 +16,6 @@ func testRegistry() *telemetry.Metrics {
 	m.Add("search.candidates", 42)
 	m.Gauge("search.depth").Set(7)
 	m.Timer("detect.time").Observe(3 * time.Millisecond)
-	m.Histogram("serve.detect_ns").Observe(1500)
 	return m
 }
 
@@ -44,9 +43,6 @@ func TestPrometheusExposition(t *testing.T) {
 		"# TYPE xmlconflict_detect_time_seconds summary",
 		`xmlconflict_detect_time_seconds{quantile="0.99"}`,
 		"xmlconflict_detect_time_seconds_count 1",
-		"# TYPE xmlconflict_serve_detect_ns summary",
-		`xmlconflict_serve_detect_ns{quantile="0.5"} 1`,
-		"xmlconflict_serve_detect_ns_count 1",
 		"xmlconflict_goroutines",
 		"xmlconflict_uptime_seconds",
 		"xmlconflict_heap_alloc_bytes",
@@ -66,7 +62,6 @@ func TestPrometheusExposition(t *testing.T) {
 func TestOpenMetricsNegotiation(t *testing.T) {
 	m := testRegistry()
 	m.Timer("detect.time").ObserveTraced(8*time.Millisecond, "feedbeef")
-	m.Histogram("serve.detect_ns").ObserveTraced(9000, "cafe0123")
 	srv := httptest.NewServer(Handler(Options{Metrics: m}))
 	defer srv.Close()
 
@@ -95,7 +90,6 @@ func TestOpenMetricsNegotiation(t *testing.T) {
 	for _, want := range []string{
 		"xmlconflict_search_candidates_total 42",
 		`xmlconflict_detect_time_seconds_count 2 # {trace_id="feedbeef"} 0.008`,
-		`xmlconflict_serve_detect_ns_count 2 # {trace_id="cafe0123"} 9000`,
 		"# EOF\n",
 	} {
 		if !strings.Contains(om, want) {
@@ -118,7 +112,6 @@ func TestOpenMetricsNegotiation(t *testing.T) {
 	for _, want := range []string{
 		"xmlconflict_search_candidates 42",
 		`# EXEMPLAR xmlconflict_detect_time_seconds trace_id="feedbeef"`,
-		`# EXEMPLAR xmlconflict_serve_detect_ns trace_id="cafe0123" value=9000`,
 	} {
 		if !strings.Contains(plain, want) {
 			t.Fatalf("plain exposition missing %q:\n%s", want, plain)

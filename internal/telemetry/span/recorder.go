@@ -79,11 +79,13 @@ func (r *FlightRecorder) Options() RecorderOptions {
 	return r.opts
 }
 
-// Record finishes t (idempotent), snapshots it, and files the snapshot
-// into the rings. The nil recorder and nil trace are no-ops.
-func (r *FlightRecorder) Record(t *Trace) {
+// Record finishes t (idempotent), snapshots it, files the snapshot into
+// the rings, and returns it, so a caller that also reads the finished
+// trace does not snapshot it twice. The nil recorder and nil trace are
+// no-ops that return the zero view.
+func (r *FlightRecorder) Record(t *Trace) TraceView {
 	if r == nil || t == nil {
-		return
+		return TraceView{}
 	}
 	t.Finish()
 	if t.Duration() >= r.opts.SlowThreshold {
@@ -106,6 +108,7 @@ func (r *FlightRecorder) Record(t *Trace) {
 	if captured && r.opts.Dir != "" {
 		_ = writeTraceFile(r.opts.Dir, &v) // best effort: forensics must not fail the request
 	}
+	return v
 }
 
 // Get returns the snapshot of the trace with the given ID, searching

@@ -26,11 +26,12 @@ import (
 //	fmt.Print(st.Snapshot())
 
 // Stats is a concurrency-safe registry of named counters, gauges, and
-// timers that the decision procedures populate: candidates examined,
-// per-edge cut decisions, NFA product sizes, pattern-minimization
-// savings, compiled-pattern cache traffic, witness-shrinking steps, and
-// more. Attach one with SearchOptions.WithStats and read it afterwards
-// with Snapshot. A single Stats may be shared across many calls (and
+// timers. The decision procedures populate its counters and gauges
+// (their timing is on spans): candidates examined, per-edge cut
+// decisions, NFA product sizes, pattern-minimization savings,
+// compiled-pattern cache traffic, witness-shrinking steps, and more.
+// Attach one with SearchOptions.WithStats and read it afterwards with
+// Snapshot. A single Stats may be shared across many calls (and
 // goroutines) to aggregate.
 type Stats = telemetry.Metrics
 
