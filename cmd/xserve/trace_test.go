@@ -70,8 +70,9 @@ func getTrace(t *testing.T, url, id string) span.TraceView {
 // TestConflictTraceForensics is the acceptance path: a conflicting
 // /v1/docs update answers 409 with a trace_id, and /v1/trace/{id}
 // replays the handler, queue wait, admission verdict (fired semantics
-// + cache disposition), and — on the committed update it collided
-// with — the WAL append and fsync spans with durations.
+// + how the window entries were settled), and — on the committed
+// update it collided with — the WAL append and fsync spans with
+// durations.
 func TestConflictTraceForensics(t *testing.T) {
 	s := newStoreServer(t, t.TempDir())
 	dumpTracesOnFailure(t, s)
@@ -123,7 +124,10 @@ func TestConflictTraceForensics(t *testing.T) {
 		t.Fatalf("store.admit spans = %d, want 1", len(adm))
 	}
 	a := adm[0]
-	if a.Attrs["conflict"] != true || a.Attrs["fired"] == "" || a.Attrs["cache"] != "bypass" {
+	// delete //x can change the points of insert /a <x/>, so the static
+	// screen leaves the one window entry to the concrete check.
+	if a.Attrs["conflict"] != true || a.Attrs["fired"] == "" ||
+		a.Attrs["concrete"] != float64(1) || a.Attrs["static"] != float64(0) {
 		t.Fatalf("admit verdict attrs incomplete: %+v", a.Attrs)
 	}
 	for _, key := range []string{"sem", "base_lsn", "with_lsn", "with_kind", "window"} {

@@ -125,3 +125,41 @@ func TestStoreUntracedSubmitUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStoreSpanAdmitCounts: the store.admit span says how each window
+// entry above the base was settled, and the store counts the same.
+// Against a stale delete //x, the committed insert /a <y/> is settled
+// by the detector alone; insert /a/b <x/> could move the delete's
+// points on some tree, so it gets the concrete check, which its
+// b-less pre-state passes.
+func TestStoreSpanAdmitCounts(t *testing.T) {
+	s := openTest(t, t.TempDir(), Options{Fsync: FsyncNever})
+	base := mustCreate(t, s, "d", "<a/>").LSN
+	mustSubmit(t, s, "d", Op{Kind: "insert", Pattern: "/a", X: "<y/>"})
+	mustSubmit(t, s, "d", Op{Kind: "insert", Pattern: "/a/b", X: "<x/>"})
+
+	tr := span.New("test")
+	ctx := span.Context(context.Background(), tr.Root())
+	if _, err := s.SubmitCtx(ctx, "d", Op{Kind: "delete", Pattern: "//x", BaseLSN: base}); err != nil {
+		t.Fatalf("stale delete //x: %v", err)
+	}
+	tr.Finish()
+	adm := storeSpans(tr.View().Root, "store.admit")
+	if len(adm) != 1 {
+		t.Fatalf("store.admit spans = %d, want 1", len(adm))
+	}
+	if a := adm[0].Attrs; a["static"] != 1 || a["concrete"] != 1 {
+		t.Fatalf("admit span static/concrete = %v/%v, want 1/1", a["static"], a["concrete"])
+	}
+	if _, has := adm[0].Attrs["cache"]; has {
+		t.Fatalf("admit span still carries a cache disposition: %+v", adm[0].Attrs)
+	}
+	for _, name := range []string{"detect.cached", "detect"} {
+		if got := storeSpans(tr.View().Root, name); len(got) != 0 {
+			t.Fatalf("the screen's lookups nest %s spans under store.admit", name)
+		}
+	}
+	if st, co := s.m.Counter("store.admit_static").Load(), s.m.Counter("store.admit_concrete").Load(); st != 1 || co != 1 {
+		t.Fatalf("store.admit_static/concrete = %d/%d, want 1/1", st, co)
+	}
+}
