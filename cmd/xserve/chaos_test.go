@@ -157,6 +157,40 @@ func TestChaosDeadlineDegradesNotErrors(t *testing.T) {
 	}
 }
 
+// TestDeadlineStopsLinearDetection: deadline_ms bounds the linear
+// detectors too. A 2 000-step linear read, which they decide in about a
+// second, answers complete:false soon after a 20ms deadline instead of
+// holding its pool slot to the end.
+func TestDeadlineStopsLinearDetection(t *testing.T) {
+	s := newServer(2, time.Second, 1<<20)
+	dumpTracesOnFailure(t, s)
+	ts := httptest.NewServer(s.routes())
+	t.Cleanup(ts.Close)
+
+	read := "/" + strings.Repeat("a/", 1999) + "a"
+	start := time.Now()
+	resp, raw := postJSON(t, ts.URL+"/v1/detect",
+		fmt.Sprintf(`{"read":%q,"insert":"/a","x":"<a/>","deadline_ms":20}`, read))
+	el := time.Since(start)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200 (body %s)", resp.StatusCode, raw)
+	}
+	var dr struct {
+		Complete bool   `json:"complete"`
+		Reason   string `json:"reason"`
+		Method   string `json:"method"`
+	}
+	if err := json.Unmarshal(raw, &dr); err != nil {
+		t.Fatalf("body: %v (%s)", err, raw)
+	}
+	if dr.Complete || dr.Reason != "deadline" || dr.Method != "linear" {
+		t.Fatalf("verdict %s, want an incomplete linear verdict with reason \"deadline\"", raw)
+	}
+	if el > 500*time.Millisecond {
+		t.Fatalf("answered after %v, past a 20ms deadline", el)
+	}
+}
+
 // TestChaosMidBatchCancelFreesSlots: a client abandoning a batch
 // mid-flight must leave no residue — the pool slot comes back, the
 // inflight gauge drains to zero, and the cancellation is counted.

@@ -6,10 +6,11 @@
 //	xupdate [-pretty] <op> <xpath> [<xml>] [<op> <xpath> [<xml>] ...]
 //
 // where <op> is "insert" (which takes the XML fragment to insert) or
-// "delete". Operations apply left to right with the mutating semantics of
-// Section 3 of "Conflicting XML Updates": insert adds a fresh copy of the
-// fragment as a child of every node selected by the expression; delete
-// removes the subtree rooted at every selected node.
+// "delete". Operations apply left to right with the semantics of Section 3
+// of "Conflicting XML Updates": insert adds a fresh copy of the fragment
+// as a child of every node selected by the expression; delete removes the
+// subtree rooted at every selected node. Each operation's Apply returns
+// the next version of the document, which the next operation reads.
 //
 // Example:
 //
@@ -75,12 +76,13 @@ func run(args []string) int {
 				return 2
 			}
 			ins := xmlconflict.Insert{P: p, X: x}
-			points, err := ins.Apply(doc)
+			next, points, err := ins.Apply(doc)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "xupdate: %v\n", err)
 				return 2
 			}
 			fmt.Fprintf(os.Stderr, "insert %s: %d insertion points\n", rest[1], len(points))
+			doc = next
 			rest = rest[3:]
 		case "delete":
 			if len(rest) < 2 {
@@ -93,12 +95,13 @@ func run(args []string) int {
 				return 2
 			}
 			del := xmlconflict.Delete{P: p}
-			points, err := del.Apply(doc)
+			next, points, err := del.Apply(doc)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "xupdate: %v\n", err)
 				return 2
 			}
 			fmt.Fprintf(os.Stderr, "delete %s: %d deletion points\n", rest[1], len(points))
+			doc = next
 			rest = rest[2:]
 		default:
 			fmt.Fprintf(os.Stderr, "xupdate: unknown operation %q\n", op)

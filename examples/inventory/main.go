@@ -62,12 +62,12 @@ func main() {
 	fmt.Println()
 	fmt.Println("concrete inventory (6 books):")
 	fmt.Println(" ", inv.XML())
-	points, err := restock.Apply(inv)
+	restocked, points, err := restock.Apply(inv)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("after restocking (%d low-stock books marked):\n", len(points))
-	fmt.Println(" ", inv.XML())
+	fmt.Println(" ", restocked.XML())
 
 	// The //book/* read really does see the difference; //book/title
 	// really does not — on this document and, per the detector, on all
@@ -75,5 +75,5 @@ func main() {
 	star := xmlconflict.MustParseXPath("//book/*")
 	title := xmlconflict.MustParseXPath("//book/title")
 	fmt.Printf("\n|//book/*| = %d, |//book/title| = %d after restocking\n",
-		len(xmlconflict.Eval(star, inv)), len(xmlconflict.Eval(title, inv)))
+		len(xmlconflict.Eval(star, restocked)), len(xmlconflict.Eval(title, restocked)))
 }

@@ -33,8 +33,8 @@ func main() {
 	// The witness is a real document: run the operations on it and watch
 	// the read's result change.
 	before := read.Eval(v.Witness)
-	after := v.Witness.Clone()
-	if _, err := insert.Apply(after); err != nil {
+	after, _, err := insert.Apply(v.Witness)
+	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  |read before insert| = %d, |read after insert| = %d\n",

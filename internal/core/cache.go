@@ -2,6 +2,7 @@ package core
 
 import (
 	"container/list"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"runtime"
@@ -28,13 +29,14 @@ const DefaultDetectorCacheSize = 4096
 // deduplicating: concurrent lookups of the same key share one
 // computation instead of racing to repeat it.
 //
-// The key is the pair's canonical form — the read pattern's and update
-// pattern's canonical renderings (predicate order normalized), the
-// inserted tree's isomorphism code for inserts, the conflict semantics,
-// and the search bounds — so structurally equal pairs hit regardless of
-// which pattern objects spell them. Detection is deterministic in that
-// key, which is what makes memoization sound: a hit returns exactly the
-// verdict a fresh computation would.
+// The key is the SHA-256 of the pair's canonical form — the read
+// pattern's and update pattern's canonical renderings (predicate order
+// normalized), the inserted tree's isomorphism code for inserts, the
+// conflict semantics, and the search bounds — so structurally equal
+// pairs hit regardless of which pattern objects spell them, and an entry
+// costs the same however large the insert's payload. Detection is
+// deterministic in that form, which is what makes memoization sound: a
+// hit returns exactly the verdict a fresh computation would.
 //
 // Underneath, one bounded match.Cache is shared across every memoized
 // search, so compiled patterns are reused across Detect calls too.
@@ -42,7 +44,7 @@ const DefaultDetectorCacheSize = 4096
 // and must be treated as read-only.
 type DetectorCache struct {
 	mu      sync.Mutex
-	entries map[string]*list.Element
+	entries map[cacheKey]*list.Element
 	lru     *list.List // of *cacheEntry, most recent first
 	cap     int
 
@@ -55,7 +57,7 @@ type DetectorCache struct {
 // computation finishes; until then other goroutines with the same key
 // wait on it instead of recomputing.
 type cacheEntry struct {
-	key   string
+	key   cacheKey
 	ready chan struct{}
 	done  bool // guarded by DetectorCache.mu; true once v/err are set
 	v     Verdict
@@ -69,7 +71,7 @@ func NewDetectorCache(capacity int) *DetectorCache {
 		capacity = DefaultDetectorCacheSize
 	}
 	return &DetectorCache{
-		entries:  map[string]*list.Element{},
+		entries:  map[cacheKey]*list.Element{},
 		lru:      list.New(),
 		cap:      capacity,
 		patterns: match.NewCacheBounded(4 * capacity),
@@ -200,7 +202,7 @@ func (c *DetectorCache) record(ctr *atomic.Int64, name string, opts SearchOption
 
 // acquire returns the entry for key, reporting whether the caller is the
 // leader that must compute it. Non-leaders wait on entry.ready.
-func (c *DetectorCache) acquire(key string) (*cacheEntry, bool) {
+func (c *DetectorCache) acquire(key cacheKey) (*cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
@@ -256,13 +258,16 @@ func (c *DetectorCache) Len() int {
 	return len(c.entries)
 }
 
+// cacheKey is the SHA-256 of a detection query's canonical text.
+type cacheKey [sha256.Size]byte
+
 // detectKey canonicalizes a detection query. The second result is false
 // for update implementations outside ops.Insert/ops.Delete, which have
 // no canonical form.
-func detectKey(r ops.Read, u ops.Update, sem ops.Semantics, opts SearchOptions) (string, bool) {
+func detectKey(r ops.Read, u ops.Update, sem ops.Semantics, opts SearchOptions) (cacheKey, bool) {
 	uk, ok := updateKey(u)
 	if !ok {
-		return "", false
+		return cacheKey{}, false
 	}
 	var b strings.Builder
 	b.WriteString(r.P.String())
@@ -272,7 +277,7 @@ func detectKey(r ops.Read, u ops.Update, sem ops.Semantics, opts SearchOptions) 
 	b.WriteString(sem.String())
 	b.WriteByte(0)
 	writeBoundsKey(&b, opts)
-	return b.String(), true
+	return sha256.Sum256([]byte(b.String())), true
 }
 
 // updateKey canonicalizes an update: kind, pattern rendering, and (for

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -249,4 +250,48 @@ func TestDetectBatchSharedCacheAndErrors(t *testing.T) {
 	if hits, misses := cache.Counts(); hits+misses != 2 || misses != 1 {
 		t.Fatalf("counts = %d hits / %d misses, want 1 / 1", hits, misses)
 	}
+}
+
+// TestDetectorCacheEntrySizeIgnoresPayload: entries are keyed by a hash
+// of the pair's canonical text, so 300 distinct no-conflict pairs against
+// one ~200 KB payload hold under 1 MiB in the cache.
+func TestDetectorCacheEntrySizeIgnoresPayload(t *testing.T) {
+	x := xmltree.New("p")
+	for x.Size() < 6000 {
+		x.AddChild(x.Root(), "payload-entry-with-a-long-label")
+	}
+	if n := len(xmltree.Code(x.Root())); n < 190_000 {
+		t.Fatalf("payload code is %d bytes, want ~200 KB", n)
+	}
+	ins := ops.Insert{P: xpath.MustParse("/s"), X: x}
+	reads := make([]ops.Read, 300)
+	for i := range reads {
+		reads[i] = ops.Read{P: xpath.MustParse(fmt.Sprintf("/r/a%d", i))}
+	}
+	liveHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	c := NewDetectorCache(0)
+	before := liveHeap()
+	for _, r := range reads {
+		v, err := c.Detect(r, ins, ops.NodeSemantics, SearchOptions{})
+		if err != nil || v.Conflict || !v.Complete {
+			t.Fatalf("%s: verdict %v, err %v; want a complete no-conflict", r.P, v, err)
+		}
+	}
+	after := liveHeap()
+	if c.Len() != len(reads) {
+		t.Fatalf("cache holds %d entries, want %d", c.Len(), len(reads))
+	}
+	grew := int64(after) - int64(before)
+	t.Logf("%d entries grew the live heap by %d bytes", c.Len(), grew)
+	if grew > 1<<20 {
+		t.Fatalf("cache grew the live heap by %d bytes, want under 1 MiB", grew)
+	}
+	runtime.KeepAlive(c)
+	runtime.KeepAlive(reads)
 }

@@ -107,13 +107,13 @@ func Detect(r ops.Read, u ops.Update, sem ops.Semantics, opts SearchOptions) (Ve
 	if linear {
 		switch u := u.(type) {
 		case ops.Insert:
-			v, err = readInsertLinearI(r.P, u, sem, in, sp)
+			v, err = readInsertLinearI(r.P, u, sem, opts, in, sp)
 		case ops.Delete:
-			v, err = readDeleteLinearI(r.P, u, sem, in, sp)
+			v, err = readDeleteLinearI(r.P, u, sem, opts, in, sp)
 		case *ops.Insert:
-			v, err = readInsertLinearI(r.P, *u, sem, in, sp)
+			v, err = readInsertLinearI(r.P, *u, sem, opts, in, sp)
 		case *ops.Delete:
-			v, err = readDeleteLinearI(r.P, *u, sem, in, sp)
+			v, err = readDeleteLinearI(r.P, *u, sem, opts, in, sp)
 		default:
 			v, err = SearchConflict(r, u, sem, opts)
 		}

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"xmlconflict/internal/ops"
 	"xmlconflict/internal/pattern"
@@ -437,5 +441,53 @@ func TestDetectRejectsInvalidPatterns(t *testing.T) {
 	bad.SetOutput(pattern.New("b").Root())
 	if _, err := Detect(ops.Read{P: bad}, mustInsert("/a", "<x/>"), ops.NodeSemantics, SearchOptions{}); err == nil {
 		t.Fatalf("invalid read pattern accepted")
+	}
+}
+
+// longLinearPair is a 2 000-step linear read against a one-step insert:
+// the linear detector decides it in about a second uncached.
+func longLinearPair() (ops.Read, ops.Insert) {
+	return ops.Read{P: xpath.MustParse("/" + strings.Repeat("a/", 1999) + "a")},
+		ops.Insert{P: xpath.MustParse("/a"), X: xmltree.MustParse("<a/>")}
+}
+
+// TestLinearDetectorHonoursDeadline: the linear detectors poll the
+// deadline once per read edge, so a long read ends incomplete soon after
+// its deadline instead of running to the end.
+func TestLinearDetectorHonoursDeadline(t *testing.T) {
+	r, ins := longLinearPair()
+	start := time.Now()
+	v, err := Detect(r, ins, ops.NodeSemantics, SearchOptions{}.WithTimeout(20*time.Millisecond))
+	el := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Complete || v.Reason != ReasonDeadline || v.Method != "linear" {
+		t.Fatalf("verdict %+v, want an incomplete linear verdict with reason %q", v, ReasonDeadline)
+	}
+	if el > 200*time.Millisecond {
+		t.Fatalf("detection took %v past a 20ms deadline", el)
+	}
+	d := ops.Delete{P: xpath.MustParse("/a/b")}
+	v, err = Detect(r, d, ops.NodeSemantics, SearchOptions{}.WithDeadline(time.Now()))
+	if err != nil || v.Complete || v.Reason != ReasonDeadline {
+		t.Fatalf("delete: verdict %+v, err %v; want incomplete with reason %q", v, err, ReasonDeadline)
+	}
+}
+
+// TestLinearDetectorHonoursCancel: a context canceled while a long linear
+// read is being decided ends it with ReasonCanceled and the context's
+// error.
+func TestLinearDetectorHonoursCancel(t *testing.T) {
+	r, ins := longLinearPair()
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancel)
+	start := time.Now()
+	v, err := Detect(r, ins, ops.NodeSemantics, SearchOptions{}.WithContext(ctx))
+	if !errors.Is(err, context.Canceled) || v.Complete || v.Reason != ReasonCanceled {
+		t.Fatalf("verdict %+v, err %v; want incomplete with reason %q and context.Canceled", v, err, ReasonCanceled)
+	}
+	if el := time.Since(start); el > 200*time.Millisecond {
+		t.Fatalf("detection took %v past a cancel at 20ms", el)
 	}
 }

@@ -25,14 +25,14 @@ import (
 // the constructive halves of the proofs and re-verified with the Lemma 1
 // checker before being returned.
 func ReadDeleteLinear(r *pattern.Pattern, d ops.Delete, sem ops.Semantics) (Verdict, error) {
-	return readDeleteLinearI(r, d, sem, nil, nil)
+	return readDeleteLinearI(r, d, sem, SearchOptions{}, nil, nil)
 }
 
 // readDeleteLinearI is ReadDeleteLinear with instrumentation: per-edge
 // crossing decisions are counted and recorded as events on the detect
 // span sp, and the automata products behind each decision report their
-// sizes.
-func readDeleteLinearI(r *pattern.Pattern, d ops.Delete, sem ops.Semantics, in *instr, sp *span.Span) (Verdict, error) {
+// sizes. It checks opts' context and deadline once per read edge.
+func readDeleteLinearI(r *pattern.Pattern, d ops.Delete, sem ops.Semantics, opts SearchOptions, in *instr, sp *span.Span) (Verdict, error) {
 	if !r.IsLinear() {
 		return Verdict{}, fmt.Errorf("core: ReadDeleteLinear: read pattern %v is not linear", r)
 	}
@@ -46,6 +46,9 @@ func readDeleteLinearI(r *pattern.Pattern, d ops.Delete, sem ops.Semantics, in *
 	// Node-conflict characterization (Lemma 3).
 	spine := r.Spine()
 	for i := 1; i < len(spine); i++ {
+		if v, stop, err := opts.linearStop(i-1, len(spine)-1); stop {
+			return v, err
+		}
 		n, np := spine[i-1], spine[i]
 		in.count("linear.edges_checked", 1)
 		var word []string

@@ -23,13 +23,14 @@ import (
 // and value conflicts coincide with tree conflicts for linear patterns
 // (Lemma 2).
 func ReadInsertLinear(r *pattern.Pattern, ins ops.Insert, sem ops.Semantics) (Verdict, error) {
-	return readInsertLinearI(r, ins, sem, nil, nil)
+	return readInsertLinearI(r, ins, sem, SearchOptions{}, nil, nil)
 }
 
 // readInsertLinearI is ReadInsertLinear with instrumentation: per-edge
 // cut decisions are counted and recorded as events on the detect span
 // sp, and the automata products behind each decision report their sizes.
-func readInsertLinearI(r *pattern.Pattern, ins ops.Insert, sem ops.Semantics, in *instr, sp *span.Span) (Verdict, error) {
+// It checks opts' context and deadline once per read edge.
+func readInsertLinearI(r *pattern.Pattern, ins ops.Insert, sem ops.Semantics, opts SearchOptions, in *instr, sp *span.Span) (Verdict, error) {
 	if !r.IsLinear() {
 		return Verdict{}, fmt.Errorf("core: ReadInsertLinear: read pattern %v is not linear", r)
 	}
@@ -40,6 +41,9 @@ func readInsertLinearI(r *pattern.Pattern, ins ops.Insert, sem ops.Semantics, in
 	// Cut-edge characterization (Lemmas 5-6).
 	spine := r.Spine()
 	for i := 1; i < len(spine); i++ {
+		if v, stop, err := opts.linearStop(i-1, len(spine)-1); stop {
+			return v, err
+		}
 		n, np := spine[i-1], spine[i]
 		in.count("linear.edges_checked", 1)
 		tail, err := r.Seq(np, r.Output())

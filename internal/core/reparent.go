@@ -17,10 +17,11 @@ import (
 // STAR-LENGTH(p) = k never creates new results of p among the pre-existing
 // nodes of t.
 func Reparent(t *xmltree.Tree, u, v *xmltree.Node, k int, alpha string) error {
-	if !u.IsAncestorOf(v) {
+	n := pathNodeCount(u, v)
+	if n < 2 {
 		return fmt.Errorf("core: Reparent: u is not an ancestor of v")
 	}
-	if n := pathNodeCount(u, v); n <= k+3 {
+	if n <= k+3 {
 		return fmt.Errorf("core: Reparent: path from u to v has %d nodes, need more than %d", n, k+3)
 	}
 	if err := t.Detach(v); err != nil {
@@ -33,14 +34,18 @@ func Reparent(t *xmltree.Tree, u, v *xmltree.Node, k int, alpha string) error {
 	return t.Attach(cur, v)
 }
 
-// pathNodeCount returns the number of nodes on the path from the ancestor
-// u to the descendant v, endpoints included.
+// pathNodeCount returns the number of nodes on the path from u down to
+// v, endpoints included, or 0 when v is not in u's subtree.
 func pathNodeCount(u, v *xmltree.Node) int {
-	n := 1
-	for m := v; m != u; m = m.Parent() {
-		n++
+	if u == v {
+		return 1
 	}
-	return n
+	for _, c := range u.Children() {
+		if n := pathNodeCount(c, v); n > 0 {
+			return n + 1
+		}
+	}
+	return 0
 }
 
 // ShrinkWitness implements the witness-minimization pipeline behind the NP
@@ -73,12 +78,12 @@ func ShrinkWitnessObserved(w *xmltree.Tree, r ops.Read, u ops.Update, opts Searc
 	in := observer(opts)
 	in.count("shrink.calls", 1)
 	in.count("shrink.nodes_before", int64(w.Size()))
-	t := w.Clone()
-	t.ClearModified()
-	after, err := ops.ApplyCopy(u, t)
+	after, err := ops.ApplyCopy(u, w)
 	if err != nil {
 		return nil, err
 	}
+	// t is the private copy the shrinking reparents and prunes in place.
+	t := w.Clone()
 	beforeRes := r.Eval(t)
 	afterRes := r.Eval(after)
 	beforeSet := idSet(beforeRes)
@@ -112,15 +117,16 @@ func ShrinkWitnessObserved(w *xmltree.Tree, r ops.Read, u ops.Update, opts Searc
 			return nil, fmt.Errorf("core: ShrinkWitness: internal: no embedding selects the witness node")
 		}
 		points := map[int]bool{}
+		afterParents := after.Parents()
 		for _, img := range eR {
 			if tIDs[img.ID()] {
 				mark(t.NodeByID(img.ID()))
 				continue
 			}
 			// Nearest ancestor that pre-existed is the insertion point.
-			anc := img.Parent()
+			anc := afterParents[img]
 			for anc != nil && !tIDs[anc.ID()] {
-				anc = anc.Parent()
+				anc = afterParents[anc]
 			}
 			if anc == nil {
 				return nil, fmt.Errorf("core: ShrinkWitness: internal: inserted node with no pre-existing ancestor")
@@ -167,8 +173,9 @@ func ShrinkWitnessObserved(w *xmltree.Tree, r ops.Read, u ops.Update, opts Searc
 			mark(img)
 		}
 		// Topmost ancestor-or-self of nw that vanished.
+		parents := t.Parents()
 		del := nw
-		for p := nw.Parent(); p != nil && !afterIDs[p.ID()]; p = p.Parent() {
+		for p := parents[nw]; p != nil && !afterIDs[p.ID()]; p = parents[p] {
 			del = p
 		}
 		eD := match.FindEmbeddingAt(u.Pattern(), t, del)
@@ -191,16 +198,19 @@ func ShrinkWitnessObserved(w *xmltree.Tree, r ops.Read, u ops.Update, opts Searc
 	// nearest marked ancestor (Lemma 10 preserves the conflict).
 	reparents := 0
 	for {
+		parents := t.Parents() // each reparenting moves a subtree
 		var nFar, nAnc *xmltree.Node
 		for m := range marked {
-			if m.Parent() == nil {
-				continue
+			anc := parents[m]
+			if anc == nil {
+				continue // the root
 			}
-			anc := m.Parent()
+			n := 2
 			for !marked[anc] {
-				anc = anc.Parent()
+				anc = parents[anc]
+				n++
 			}
-			if pathNodeCount(anc, m) > k+3 {
+			if n > k+3 {
 				nFar, nAnc = m, anc
 				break
 			}

@@ -27,7 +27,8 @@ func TestReparentShape(t *testing.T) {
 	if got := pathNodeCount(tr.Root(), v); got != 4 {
 		t.Fatalf("path count = %d, want 4", got)
 	}
-	if v.Parent().Label() != "alpha" || v.Parent().Parent().Label() != "alpha" {
+	parents := tr.Parents()
+	if parents[v].Label() != "alpha" || parents[parents[v]].Label() != "alpha" {
 		t.Fatalf("alpha chain missing")
 	}
 	// The old chain dangles but is still in the tree.

@@ -139,6 +139,25 @@ func (o SearchOptions) expired() bool {
 	return !o.Deadline.IsZero() && !time.Now().Before(o.Deadline)
 }
 
+// linearStop checks cancellation and the deadline before a linear
+// detector's next read edge, done of edges having been decided: their
+// cost grows about cubically with the read's length, so a long read must
+// not outlive its caller. It reports whether to stop, with the verdict
+// and error to stop with: incomplete, ReasonCanceled with the context's
+// error, or ReasonDeadline.
+func (o SearchOptions) linearStop(done, edges int) (Verdict, bool, error) {
+	stopped := func(reason string) Verdict {
+		return Verdict{Method: "linear", Reason: reason, Detail: fmt.Sprintf("stopped after %d of %d read edges", done, edges)}
+	}
+	if err := o.canceled(); err != nil {
+		return stopped(ReasonCanceled), true, fmt.Errorf("core: detect canceled: %w", err)
+	}
+	if o.expired() {
+		return stopped(ReasonDeadline), true, nil
+	}
+	return Verdict{}, false, nil
+}
+
 // WithDeadline returns a copy of o whose searches degrade to an
 // incomplete verdict (Reason = ReasonDeadline) when the wall clock
 // passes t. The zero time means no deadline.

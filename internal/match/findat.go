@@ -1,6 +1,8 @@
 package match
 
 import (
+	"slices"
+
 	"xmlconflict/internal/pattern"
 	"xmlconflict/internal/xmltree"
 )
@@ -20,30 +22,27 @@ func FindEmbeddingAt(p *pattern.Pattern, t *xmltree.Tree, target *xmltree.Node) 
 	r := e.satisfy(t.Root(), false)
 	w := r.w
 
-	var path []*xmltree.Node
-	for n := target; n != nil; n = n.Parent() {
-		path = append(path, n)
+	// The root path of target, read off the reached records: an
+	// unrecorded node has no placeable pattern node, so no embedding
+	// reaches it.
+	end := int32(-1)
+	for i := range r.recs {
+		if r.recs[i].n == target {
+			end = int32(i)
+			break
+		}
 	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	if path[0] != t.Root() || len(r.recs) == 0 {
+	if end < 0 {
 		return nil
 	}
-	// The recorded index of each path node: an unrecorded one has no
-	// placeable pattern node, so no embedding reaches it.
-	idx := make([]int32, len(path))
-	for j := 1; j < len(path); j++ {
-		idx[j] = -1
-		for c := idx[j-1] + 1; c < r.recs[idx[j-1]].end; c = r.recs[c].end {
-			if r.recs[c].n == path[j] {
-				idx[j] = c
-				break
-			}
-		}
-		if idx[j] < 0 {
-			return nil
-		}
+	var idx []int32
+	for i := end; i >= 0; i = r.recs[i].parent {
+		idx = append(idx, i)
+	}
+	slices.Reverse(idx)
+	path := make([]*xmltree.Node, len(idx))
+	for j, i := range idx {
+		path[j] = r.recs[i].n
 	}
 
 	// feas[j]: the pattern nodes some embedding places at path[j].

@@ -1,7 +1,9 @@
 package match
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 
 	"xmlconflict/internal/pattern"
 	"xmlconflict/internal/xmltree"
@@ -246,14 +248,14 @@ func (e *Evaluator) allow(dst, at, anc []uint64) {
 }
 
 // feasible runs the top-down pass after satisfy (pattern root at the
-// tree root) and returns the recorded nodes at which some embedding
-// places the output node. A pattern node is feasible at a node when it
-// is satisfied there and allowed by the nodes feasible above it. It
-// reuses the sat rows for what each node allows its children and the
+// tree root) and returns the indexes of the recorded nodes at which some
+// embedding places the output node. A pattern node is feasible at a node
+// when it is satisfied there and allowed by the nodes feasible above it.
+// It reuses the sat rows for what each node allows its children and the
 // sub rows for the descendant sets.
-func (r *run) feasible() []*xmltree.Node {
+func (r *run) feasible() []int32 {
 	w, e := r.w, r.e
-	var result []*xmltree.Node
+	var result []int32
 	feas := r.or[:w]
 	for i := int32(0); i < int32(len(r.recs)); {
 		sat, anc := r.row(i, satRow), r.row(i, subRow)
@@ -268,7 +270,7 @@ func (r *run) feasible() []*xmltree.Node {
 			}
 		}
 		if has(feas, e.out) {
-			result = append(result, r.recs[i].n)
+			result = append(result, i)
 		}
 		clear(sat)
 		e.allow(sat, feas, anc)
@@ -281,13 +283,68 @@ func (r *run) feasible() []*xmltree.Node {
 	return result
 }
 
-// Eval computes [[p]](t), sorted by node identity.
-func (e *Evaluator) Eval(t *xmltree.Tree) []*xmltree.Node {
+// results runs both passes with the pattern root at t's root and returns
+// the recorded results, or nil when the pattern does not embed.
+func (e *Evaluator) results(t *xmltree.Tree) (run, []int32) {
 	r := e.satisfy(t.Root(), false)
 	if len(r.recs) == 0 || !has(r.row(0, satRow), 0) {
+		return r, nil
+	}
+	return r, r.feasible()
+}
+
+// Eval computes [[p]](t), sorted by node identity.
+func (e *Evaluator) Eval(t *xmltree.Tree) []*xmltree.Node {
+	r, res := e.results(t)
+	if len(res) == 0 {
 		return nil
 	}
-	return xmltree.SortByID(r.feasible())
+	out := make([]*xmltree.Node, len(res))
+	for k, i := range res {
+		out[k] = r.recs[i].n
+	}
+	return xmltree.SortByID(out)
+}
+
+// EvalPaths computes [[p]](t) together with each result's root path,
+// read off the reached records: the results are the named nodes, in
+// identity order, and the paths hold them and their ancestors only. An
+// update applies at these paths without walking the tree
+// (xmltree.Tree.Inserted, Deleted).
+func (e *Evaluator) EvalPaths(t *xmltree.Tree) xmltree.Paths {
+	r, res := e.results(t)
+	if len(res) == 0 {
+		return xmltree.Paths{}
+	}
+	// Keep the results' ancestors; records list parents first, so the
+	// kept ones renumber in order.
+	at := make([]int32, len(r.recs))
+	kept := 0
+	for _, i := range res {
+		for ; i >= 0 && at[i] == 0; i = r.recs[i].parent {
+			at[i] = 1
+			kept++
+		}
+	}
+	ps := xmltree.Paths{Nodes: make([]*xmltree.Node, 0, kept), Parent: make([]int32, 0, kept)}
+	for i, rc := range r.recs {
+		if at[i] == 0 {
+			continue
+		}
+		at[i] = int32(len(ps.Nodes))
+		p := int32(-1)
+		if rc.parent >= 0 {
+			p = at[rc.parent]
+		}
+		ps.Nodes = append(ps.Nodes, rc.n)
+		ps.Parent = append(ps.Parent, p)
+	}
+	ps.At = make([]int32, len(res))
+	for k, i := range res {
+		ps.At[k] = at[i]
+	}
+	slices.SortFunc(ps.At, func(a, b int32) int { return cmp.Compare(ps.Nodes[a].ID(), ps.Nodes[b].ID()) })
+	return ps
 }
 
 // Embeds reports whether an embedding exists ([[p]](t) ≠ ∅): only the

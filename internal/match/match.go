@@ -29,6 +29,12 @@ func Eval(p *pattern.Pattern, t *xmltree.Tree) []*xmltree.Node {
 	return Compile(p).Eval(t)
 }
 
+// EvalPaths returns [[p]](t) with each result's root path (see
+// Evaluator.EvalPaths).
+func EvalPaths(p *pattern.Pattern, t *xmltree.Tree) xmltree.Paths {
+	return Compile(p).EvalPaths(t)
+}
+
 // EvalSet returns [[p]](t) as a set of node identities.
 func EvalSet(p *pattern.Pattern, t *xmltree.Tree) map[int]bool {
 	out := map[int]bool{}
@@ -65,8 +71,10 @@ func EmbedsAnywhere(p *pattern.Pattern, t *xmltree.Tree) bool {
 type Embedding map[*pattern.Node]*xmltree.Node
 
 // Valid re-checks the four embedding conditions (root-, label-, child- and
-// descendant-edge preservation); it is used by tests.
+// descendant-edge preservation); it is used by tests, on small trees, so
+// it walks t's parent index.
 func (e Embedding) Valid(p *pattern.Pattern, t *xmltree.Tree) bool {
+	parents := t.Parents()
 	for _, q := range p.Nodes() {
 		v, ok := e[q]
 		if !ok {
@@ -81,11 +89,14 @@ func (e Embedding) Valid(p *pattern.Pattern, t *xmltree.Tree) bool {
 			if u == nil {
 				return false
 			}
+			if _, ok := parents[v]; !ok {
+				return false
+			}
 			if q.Axis() == pattern.Child {
-				if v.Parent() != u {
+				if parents[v] != u {
 					return false
 				}
-			} else if !u.IsAncestorOf(v) {
+			} else if !isAncestor(parents, u, v) {
 				return false
 			}
 		}
@@ -94,6 +105,16 @@ func (e Embedding) Valid(p *pattern.Pattern, t *xmltree.Tree) bool {
 		}
 	}
 	return true
+}
+
+// isAncestor reports whether u is a proper ancestor of v under parents.
+func isAncestor(parents map[*xmltree.Node]*xmltree.Node, u, v *xmltree.Node) bool {
+	for a := parents[v]; a != nil; a = parents[a] {
+		if a == u {
+			return true
+		}
+	}
+	return false
 }
 
 // AllEmbeddings enumerates embeddings of p into t, invoking fn for each

@@ -73,15 +73,15 @@ func (c *Checker) Witness(t *xmltree.Tree) (bool, error) {
 	if c.vErr != nil {
 		return false, c.vErr
 	}
-	after := t.Clone()
-	after.ClearModified()
-	points := c.cache.Get(c.u.Pattern()).Eval(after)
+	at := c.cache.Get(c.u.Pattern()).EvalPaths(t)
+	var after *xmltree.Tree
 	if c.ins != nil {
-		if err := c.ins.ApplyAt(after, points); err != nil {
+		after = t.Inserted(at, c.ins.X)
+	} else {
+		var err error
+		if after, err = t.Deleted(at); err != nil {
 			return false, err
 		}
-	} else if err := c.del.ApplyAt(after, points); err != nil {
-		return false, err
 	}
 	evR := c.cache.Get(c.r.P)
 	before := evR.Eval(t)
@@ -91,15 +91,7 @@ func (c *Checker) Witness(t *xmltree.Tree) (bool, error) {
 	case NodeSemantics:
 		return !xmltree.SameNodeSet(before, res), nil
 	case TreeSemantics:
-		if !xmltree.SameNodeSet(before, res) {
-			return true, nil
-		}
-		for _, n := range res {
-			if n.Modified() {
-				return true, nil
-			}
-		}
-		return false, nil
+		return treeFired(before, res), nil
 	case ValueSemantics:
 		return !xmltree.SameIsoClasses(before, res), nil
 	}

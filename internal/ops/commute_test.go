@@ -27,21 +27,15 @@ func randomUpdate(rng *rand.Rand) Update {
 	return Delete{P: p}
 }
 
-// bothOrders applies u1 then u2, and u2 then u1, to clones of t, as
-// CommuteWitness does.
+// bothOrders applies u1 then u2, and u2 then u1, to t, as CommuteWitness
+// does.
 func bothOrders(t *testing.T, u1, u2 Update, tr *xmltree.Tree) (a, b *xmltree.Tree) {
 	t.Helper()
-	a, err := ApplyCopy(u1, tr)
-	if err == nil {
-		_, err = u2.Apply(a)
-	}
+	a, err := applyBoth(u1, u2, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err = ApplyCopy(u2, tr)
-	if err == nil {
-		_, err = u1.Apply(b)
-	}
+	b, err = applyBoth(u2, u1, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,15 @@
 // Package ops implements the read, insertion, and deletion operations of
 // Section 3 of "Conflicting XML Updates" with the reference-based
-// (mutating) semantics of XQuery updates and XJ, together with the
-// polynomial-time witness checkers of Lemma 1 for all three conflict
-// semantics (node, tree, value).
+// semantics of XQuery updates and XJ, together with the polynomial-time
+// witness checkers of Lemma 1 for all three conflict semantics (node,
+// tree, value). Node identities survive an update, and each update
+// returns a new version of the tree that shares the subtrees it left
+// alone.
 package ops
 
 import (
 	"fmt"
+	"slices"
 
 	"xmlconflict/internal/match"
 	"xmlconflict/internal/pattern"
@@ -29,13 +32,17 @@ func (r Read) EvalSubtrees(t *xmltree.Tree) []*xmltree.Node {
 	return r.Eval(t)
 }
 
-// Update is an operation that modifies a tree in place: INSERT or DELETE.
+// Update is an operation that produces a new version of a tree: INSERT
+// or DELETE.
 type Update interface {
-	// Apply mutates t, marks every change point and its ancestors
-	// modified (Tree.MarkModified), and returns the insertion/deletion
-	// points ([[p]](t) evaluated before mutation). The tree-conflict
-	// checks and CommuteWitness are exact only under this marking.
-	Apply(t *xmltree.Tree) ([]*xmltree.Node, error)
+	// Apply returns the version of t the update produces and its points,
+	// [[p]](t) as nodes of t in identity order. It changes no node of t:
+	// the result copies the root path of every point, keeping identities,
+	// and shares every other node with t. A node of the result is
+	// therefore modified — its subtree differs from t's — exactly when it
+	// is not t's node with its identity, and the tree-conflict checks and
+	// CommuteWitness compare by that pointer identity.
+	Apply(t *xmltree.Tree) (*xmltree.Tree, []*xmltree.Node, error)
 	// Pattern returns the operation's tree pattern.
 	Pattern() *pattern.Pattern
 	// Kind returns "insert" or "delete".
@@ -55,24 +62,12 @@ func (i Insert) Pattern() *pattern.Pattern { return i.P }
 // Kind returns "insert".
 func (i Insert) Kind() string { return "insert" }
 
-// Apply mutates t per the paper's semantics: for every insertion point
+// Apply follows the paper's semantics: for every insertion point
 // n ∈ [[p]](t), a fresh clone X_i of X (disjoint node identities) is added
-// as a child of n. It returns the insertion points. If [[p]](t) is empty,
-// t is unchanged.
-func (i Insert) Apply(t *xmltree.Tree) ([]*xmltree.Node, error) {
-	points := match.Eval(i.P, t)
-	return points, i.ApplyAt(t, points)
-}
-
-// ApplyAt performs the insertion at precomputed insertion points (an
-// already-evaluated [[p]](t)), for callers that amortize pattern
-// evaluation (the compiled-evaluator witness Checker).
-func (i Insert) ApplyAt(t *xmltree.Tree, points []*xmltree.Node) error {
-	for _, n := range points {
-		t.Graft(n, i.X)
-		t.MarkModified(n)
-	}
-	return nil
+// as a child of n. If [[p]](t) is empty, the result shares all of t.
+func (i Insert) Apply(t *xmltree.Tree) (*xmltree.Tree, []*xmltree.Node, error) {
+	at := match.EvalPaths(i.P, t)
+	return t.Inserted(at, i.X), at.Points(), nil
 }
 
 // Delete is DELETE_p: evaluate p on t and delete the subtree rooted at
@@ -96,45 +91,27 @@ func (d Delete) Validate() error {
 	return nil
 }
 
-// Apply mutates t: every subtree rooted at a deletion point is removed.
-// Deletion points nested below other deletion points vanish with their
-// ancestors. It returns the deletion points.
-func (d Delete) Apply(t *xmltree.Tree) ([]*xmltree.Node, error) {
+// Apply removes every subtree rooted at a deletion point. Deletion points
+// nested below other deletion points vanish with their ancestors.
+func (d Delete) Apply(t *xmltree.Tree) (*xmltree.Tree, []*xmltree.Node, error) {
 	if err := d.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	points := match.Eval(d.P, t)
-	return points, d.ApplyAt(t, points)
+	at := match.EvalPaths(d.P, t)
+	nt, err := t.Deleted(at)
+	if err != nil {
+		return nil, nil, err
+	}
+	return nt, at.Points(), nil
 }
 
-// ApplyAt performs the deletion at precomputed deletion points (an
-// already-evaluated [[p]](t)), for callers that amortize pattern
-// evaluation. It does not re-run Validate.
-func (d Delete) ApplyAt(t *xmltree.Tree, points []*xmltree.Node) error {
-	for _, n := range points {
-		if !t.Contains(n) {
-			continue // already removed with a deleted ancestor
-		}
-		parent := n.Parent()
-		if err := t.DeleteSubtree(n); err != nil {
-			return err
-		}
-		t.MarkModified(parent)
-	}
-	return nil
-}
-
-// ApplyCopy runs the update on an identity-preserving clone of t and
-// returns the clone; t itself is untouched. Freshly inserted nodes draw
-// identities unused by t, so node identity comparisons between t and the
-// result are meaningful (Definition 2).
+// ApplyCopy returns the version of t the update produces; t itself is
+// untouched. Freshly inserted nodes draw identities unused by t, so node
+// identity comparisons between t and the result are meaningful
+// (Definition 2).
 func ApplyCopy(u Update, t *xmltree.Tree) (*xmltree.Tree, error) {
-	c := t.Clone()
-	c.ClearModified()
-	if _, err := u.Apply(c); err != nil {
-		return nil, err
-	}
-	return c, nil
+	nt, _, err := u.Apply(t)
+	return nt, err
 }
 
 // NodeConflictWitness reports whether t witnesses a node conflict between
@@ -150,24 +127,22 @@ func NodeConflictWitness(r Read, u Update, t *xmltree.Tree) (bool, error) {
 
 // TreeConflictWitness reports whether t witnesses a tree conflict between r
 // and u: either the node sets differ, or some returned subtree was
-// modified by the update. The subtree-modified flags maintained by Apply
-// make the check linear in |t| (Lemma 1).
+// modified by the update. Apply copies exactly the modified nodes, so
+// the check compares the two results by pointer and is linear in |t|
+// (Lemma 1).
 func TreeConflictWitness(r Read, u Update, t *xmltree.Tree) (bool, error) {
 	after, err := ApplyCopy(u, t)
 	if err != nil {
 		return false, err
 	}
-	before := r.Eval(t)
-	res := r.Eval(after)
-	if !xmltree.SameNodeSet(before, res) {
-		return true, nil
-	}
-	for _, n := range res {
-		if n.Modified() {
-			return true, nil
-		}
-	}
-	return false, nil
+	return treeFired(r.Eval(t), r.Eval(after)), nil
+}
+
+// treeFired reports a tree conflict between R(t) and R(u(t)), both in
+// identity order: a result node that is not t's node is missing, fresh,
+// or a copy Apply made because its subtree changed.
+func treeFired(before, res []*xmltree.Node) bool {
+	return !slices.Equal(before, res)
 }
 
 // ValueConflictWitness reports whether t witnesses a value conflict between
@@ -195,20 +170,10 @@ func FiredSemantics(r Read, u Update, t *xmltree.Tree) ([]Semantics, error) {
 	before := r.Eval(t)
 	res := r.Eval(after)
 	var fired []Semantics
-	sameNodes := xmltree.SameNodeSet(before, res)
-	if !sameNodes {
+	if !xmltree.SameNodeSet(before, res) {
 		fired = append(fired, NodeSemantics)
 	}
-	treeFired := !sameNodes
-	if !treeFired {
-		for _, n := range res {
-			if n.Modified() {
-				treeFired = true
-				break
-			}
-		}
-	}
-	if treeFired {
+	if treeFired(before, res) {
 		fired = append(fired, TreeSemantics)
 	}
 	if !xmltree.SameIsoClasses(before, res) {
@@ -260,33 +225,35 @@ func (s Semantics) String() string {
 	}
 }
 
-// CommuteWitness reports whether applying u1 then u2 to (clones of) t
-// yields a tree that is not isomorphic to applying u2 then u1. It realizes
-// the informal Section 6 definition of conflicts between two updates under
-// value-based semantics, where the fresh-clone identity problem of the
-// reference semantics disappears.
+// CommuteWitness reports whether applying u1 then u2 to t yields a tree
+// that is not isomorphic to applying u2 then u1. It realizes the informal
+// Section 6 definition of conflicts between two updates under value-based
+// semantics, where the fresh-clone identity problem of the reference
+// semantics disappears.
 //
-// Both orders start from a clone of t and change it only through Apply,
-// which marks every change point and its ancestors modified (the Update
-// contract), so xmltree.IsomorphicDerived compares only what the two
-// orders changed: an unmodified node with one of t's identities is the
-// same subtree on both sides. Nodes the updates insert draw identities
-// from t's next identity in both orders, so equal fresh identities name
-// unrelated nodes and are compared by value, never cancelled.
+// Both orders derive from t through Apply, which copies only the root
+// paths of its points, so xmltree.IsomorphicDerived compares only what
+// the two orders changed: a node both results share is t's, unchanged on
+// both sides. Nodes the updates insert draw identities from t's next
+// identity in both orders, so equal fresh identities name unrelated
+// nodes and are compared by value, never cancelled.
 func CommuteWitness(u1, u2 Update, t *xmltree.Tree) (bool, error) {
-	a, err := ApplyCopy(u1, t)
+	a, err := applyBoth(u1, u2, t)
 	if err != nil {
 		return false, err
 	}
-	if _, err := u2.Apply(a); err != nil {
-		return false, err
-	}
-	b, err := ApplyCopy(u2, t)
+	b, err := applyBoth(u2, u1, t)
 	if err != nil {
-		return false, err
-	}
-	if _, err := u1.Apply(b); err != nil {
 		return false, err
 	}
 	return !xmltree.IsomorphicDerived(t, a, b), nil
+}
+
+// applyBoth returns u2(u1(t)).
+func applyBoth(u1, u2 Update, t *xmltree.Tree) (*xmltree.Tree, error) {
+	a, err := ApplyCopy(u1, t)
+	if err != nil {
+		return nil, err
+	}
+	return ApplyCopy(u2, a)
 }

@@ -20,22 +20,27 @@ func TestReadEval(t *testing.T) {
 func TestInsertApply(t *testing.T) {
 	tr := xmltree.MustParse("<inv><book><q/></book><book/></inv>")
 	ins := Insert{P: xpath.MustParse("//book[q]"), X: xmltree.MustParse("<restock/>")}
-	points, err := ins.Apply(tr)
+	before := tr.XML()
+	after, points, err := ins.Apply(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(points) != 1 {
 		t.Fatalf("insertion points = %d, want 1", len(points))
 	}
-	if !strings.Contains(tr.XML(), "<restock/>") {
-		t.Fatalf("no restock inserted: %s", tr.XML())
+	if !strings.Contains(after.XML(), "<restock/>") {
+		t.Fatalf("no restock inserted: %s", after.XML())
 	}
-	if tr.Size() != 5 {
-		t.Fatalf("size = %d, want 5", tr.Size())
+	if after.Size() != 5 {
+		t.Fatalf("size = %d, want 5", after.Size())
 	}
-	// Modified flags: the insertion point and its ancestors.
-	if !points[0].Modified() || !tr.Root().Modified() {
-		t.Fatalf("modified flags not set")
+	if tr.XML() != before || tr.Size() != 4 {
+		t.Fatalf("Apply changed its input: %s", tr.XML())
+	}
+	// Modified: the insertion point and its ancestors are copies, not the
+	// input's nodes.
+	if after.NodeByID(points[0].ID()) == points[0] || after.Root() == tr.Root() {
+		t.Fatalf("insertion point or root shared with the input")
 	}
 }
 
@@ -43,11 +48,11 @@ func TestInsertNoPointsNoChange(t *testing.T) {
 	tr := xmltree.MustParse("<a><b/></a>")
 	before := tr.XML()
 	ins := Insert{P: xpath.MustParse("//zzz"), X: xmltree.MustParse("<c/>")}
-	points, err := ins.Apply(tr)
+	after, points, err := ins.Apply(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 0 || tr.XML() != before {
+	if len(points) != 0 || after.XML() != before || after.Root() != tr.Root() {
 		t.Fatalf("empty insertion changed the tree")
 	}
 }
@@ -57,36 +62,44 @@ func TestInsertFreshClones(t *testing.T) {
 	// node identities.
 	tr := xmltree.MustParse("<r><b/><b/></r>")
 	ins := Insert{P: xpath.MustParse("r/b"), X: xmltree.MustParse("<x><y/></x>")}
-	if _, err := ins.Apply(tr); err != nil {
+	after, _, err := ins.Apply(tr)
+	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[int]bool{}
-	for _, n := range tr.Nodes() {
+	for _, n := range after.Nodes() {
 		if seen[n.ID()] {
 			t.Fatalf("duplicate id %d after insert", n.ID())
 		}
 		seen[n.ID()] = true
 	}
-	if tr.Size() != 7 {
-		t.Fatalf("size = %d, want 7", tr.Size())
+	if after.Size() != 7 {
+		t.Fatalf("size = %d, want 7", after.Size())
 	}
 }
 
 func TestDeleteApply(t *testing.T) {
 	tr := xmltree.MustParse("<r><a><x/></a><a/><b/></r>")
 	d := Delete{P: xpath.MustParse("r/a")}
-	points, err := d.Apply(tr)
+	after, points, err := d.Apply(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(points) != 2 {
 		t.Fatalf("deletion points = %d, want 2", len(points))
 	}
-	if tr.Size() != 2 {
-		t.Fatalf("size = %d, want 2: %s", tr.Size(), tr.XML())
+	if after.Size() != 2 {
+		t.Fatalf("size = %d, want 2: %s", after.Size(), after.XML())
 	}
-	if !tr.Root().Modified() {
-		t.Fatalf("modified flag not set on root")
+	if tr.Size() != 5 {
+		t.Fatalf("Apply changed its input: %s", tr.XML())
+	}
+	// Modified: the root lost children, so it is a copy; b is shared.
+	if after.Root() == tr.Root() {
+		t.Fatalf("root shared with the input")
+	}
+	if b := tr.Root().Children()[2]; after.NodeByID(b.ID()) != b {
+		t.Fatalf("untouched sibling copied")
 	}
 }
 
@@ -94,11 +107,12 @@ func TestDeleteNestedPoints(t *testing.T) {
 	// Deletion points nested under other deletion points vanish together.
 	tr := xmltree.MustParse("<r><a><a/></a></r>")
 	d := Delete{P: xpath.MustParse("//a")}
-	if _, err := d.Apply(tr); err != nil {
+	after, _, err := d.Apply(tr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Size() != 1 {
-		t.Fatalf("size = %d, want 1", tr.Size())
+	if after.Size() != 1 {
+		t.Fatalf("size = %d, want 1", after.Size())
 	}
 }
 
@@ -108,7 +122,7 @@ func TestDeleteRootRejected(t *testing.T) {
 		t.Fatalf("delete with Ø(p) = ROOT(p) accepted")
 	}
 	tr := xmltree.MustParse("<a/>")
-	if _, err := d.Apply(tr); err == nil {
+	if _, _, err := d.Apply(tr); err == nil {
 		t.Fatalf("Apply must refuse to delete the root")
 	}
 }
@@ -286,15 +300,15 @@ func TestDeletePointsSnapshot(t *testing.T) {
 	// //b selects the nested b and the top-level b; deleting the a subtree
 	// first must not hide the nested b from the snapshot.
 	d := Delete{P: xpath.MustParse("//b")}
-	points, err := d.Apply(tr)
+	after, points, err := d.Apply(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(points) != 2 {
 		t.Fatalf("points = %d, want 2", len(points))
 	}
-	if tr.Size() != 2 {
-		t.Fatalf("size = %d, want 2", tr.Size())
+	if after.Size() != 2 {
+		t.Fatalf("size = %d, want 2", after.Size())
 	}
 }
 
@@ -303,14 +317,15 @@ func TestInsertPointsEvaluatedBeforeMutation(t *testing.T) {
 	// insertion points.
 	tr := xmltree.MustParse("<r><a/></r>")
 	ins := Insert{P: xpath.MustParse("//a"), X: xmltree.MustParse("<a/>")}
-	if _, err := ins.Apply(tr); err != nil {
+	after, _, err := ins.Apply(tr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Size() != 3 {
-		t.Fatalf("size = %d, want 3 (no cascade)", tr.Size())
+	if after.Size() != 3 {
+		t.Fatalf("size = %d, want 3 (no cascade)", after.Size())
 	}
 	// And the result still evaluates consistently.
-	if got := match.Eval(xpath.MustParse("//a"), tr); len(got) != 2 {
+	if got := match.Eval(xpath.MustParse("//a"), after); len(got) != 2 {
 		t.Fatalf("//a after insert = %d, want 2", len(got))
 	}
 }

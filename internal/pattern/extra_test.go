@@ -13,7 +13,7 @@ func TestModelInto(t *testing.T) {
 	host := xmltree.MustParse("<r><a/></r>")
 	anchor := host.Root().Children()[0]
 	root := p.ModelInto(host, anchor, "zz")
-	if root.Label() != "x" || root.Parent() != anchor {
+	if root.Label() != "x" || host.Parents()[root] != anchor {
 		t.Fatalf("ModelInto attached wrong: %s", host)
 	}
 	if host.Size() != 4 {

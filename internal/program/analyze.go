@@ -364,27 +364,54 @@ func (a *Analysis) Report() string {
 	return b.String()
 }
 
-// Run executes the program: doc statements bind trees, updates mutate them
-// in place, reads record their results. It returns the final documents and
-// the read results by variable name.
+// Run executes the program: doc statements bind trees, updates replace
+// them with their new versions, reads record their results. It returns
+// the final documents and the read results by variable name.
+//
+// Read results are live references, as under the reference semantics of
+// Section 3: after each update a result node stands for its version in
+// the new document, and a node an update deleted keeps the subtree it
+// had when it went.
 func (p *Program) Run() (map[string]*xmltree.Tree, map[string][]*xmltree.Node, error) {
 	docs := map[string]*xmltree.Tree{}
 	reads := map[string][]*xmltree.Node{}
+	readDoc := map[string]string{}
 	for _, s := range p.Stmts {
+		var u ops.Update
 		switch s.Kind {
 		case KindDoc:
 			docs[s.Var] = s.XML.Clone()
 		case KindRead:
 			reads[s.Var] = ops.Read{P: s.Pattern}.Eval(docs[s.Doc])
+			readDoc[s.Var] = s.Doc
 		case KindAlias:
 			reads[s.Var] = reads[s.AliasOf]
 		case KindInsert:
-			if _, err := (ops.Insert{P: s.Pattern, X: s.XML}).Apply(docs[s.Doc]); err != nil {
-				return nil, nil, fmt.Errorf("%s: %w", s, err)
-			}
+			u = ops.Insert{P: s.Pattern, X: s.XML}
 		case KindDelete:
-			if _, err := (ops.Delete{P: s.Pattern}).Apply(docs[s.Doc]); err != nil {
-				return nil, nil, fmt.Errorf("%s: %w", s, err)
+			u = ops.Delete{P: s.Pattern}
+		}
+		if u == nil {
+			continue
+		}
+		after, err := ops.ApplyCopy(u, docs[s.Doc])
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", s, err)
+		}
+		docs[s.Doc] = after
+		var byID map[int]*xmltree.Node
+		for v, doc := range readDoc {
+			if doc != s.Doc {
+				continue
+			}
+			if byID == nil {
+				byID = map[int]*xmltree.Node{}
+				after.Walk(func(n *xmltree.Node) bool { byID[n.ID()] = n; return true })
+			}
+			for i, n := range reads[v] {
+				if m, ok := byID[n.ID()]; ok {
+					reads[v][i] = m
+				}
 			}
 		}
 	}

@@ -43,15 +43,13 @@ func (s *Schema) RevalidateInsert(t *xmltree.Tree, ins ops.Insert, points []*xml
 }
 
 // RevalidateDelete checks that t remains valid after a Delete removed
-// subtrees whose parents are given, assuming t was valid before. Only the
-// parents' content constraints can be affected. Parents that were
-// themselves deleted (nested deletion points) are skipped.
+// subtrees whose parents are given, as nodes of t, assuming t was valid
+// before. Only the parents' content constraints can be affected. Parents
+// that were themselves deleted (nested deletion points) are not nodes of
+// t and are left out by the caller.
 func (s *Schema) RevalidateDelete(t *xmltree.Tree, parents []*xmltree.Node) error {
 	s.metrics.Add("schema.revalidate.delete_parents", int64(len(parents)))
 	for _, p := range parents {
-		if p == nil || !t.Contains(p) {
-			continue
-		}
 		if err := s.checkContent(p); err != nil {
 			return err
 		}
@@ -106,52 +104,58 @@ func (s *Schema) validateSubtree(n *xmltree.Node) error {
 }
 
 // ApplyValidated applies the update to t only if the result stays valid:
-// it runs the update on an identity-preserving copy, revalidates
-// incrementally, and returns the updated document or an error describing
-// the violation (t is never modified). This is the transactional pattern
-// the revalidation line of work supports.
+// it derives the updated version, revalidates incrementally, and returns
+// the updated document or an error describing the violation (t is never
+// modified). This is the transactional pattern the revalidation line of
+// work supports.
 func (s *Schema) ApplyValidated(t *xmltree.Tree, u ops.Update) (*xmltree.Tree, error) {
 	if err := s.Validate(t); err != nil {
 		return nil, fmt.Errorf("schema: input document invalid: %w", err)
 	}
-	c := t.Clone()
-	c.ClearModified()
+	var ins ops.Insert
+	isInsert := true
 	switch v := u.(type) {
 	case ops.Insert:
-		points, err := v.Apply(c)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.RevalidateInsert(c, v, points); err != nil {
-			return nil, err
-		}
+		ins = v
 	case *ops.Insert:
-		points, err := v.Apply(c)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.RevalidateInsert(c, *v, points); err != nil {
-			return nil, err
-		}
+		ins = *v
 	case ops.Delete, *ops.Delete:
-		// Record parents before applying: deletion points vanish.
-		del, _ := u.(ops.Delete)
-		if pd, ok := u.(*ops.Delete); ok {
-			del = *pd
-		}
-		prePoints := ops.Read{P: del.P}.Eval(c)
-		parents := make([]*xmltree.Node, 0, len(prePoints))
-		for _, p := range prePoints {
-			parents = append(parents, p.Parent())
-		}
-		if _, err := del.Apply(c); err != nil {
-			return nil, err
-		}
-		if err := s.RevalidateDelete(c, parents); err != nil {
-			return nil, err
-		}
+		isInsert = false
 	default:
 		return nil, fmt.Errorf("schema: unsupported update kind %q", u.Kind())
 	}
-	return c, nil
+	after, points, err := u.Apply(t)
+	if err != nil {
+		return nil, err
+	}
+	// The points are nodes of t, and the checks read their versions in
+	// after: an insert's points gained a child, a delete's points'
+	// parents lost one. A parent that was itself deleted is not in after.
+	changed := map[int]bool{}
+	var parents map[*xmltree.Node]*xmltree.Node
+	if !isInsert {
+		parents = t.Parents()
+	}
+	for _, p := range points {
+		if !isInsert {
+			p = parents[p]
+		}
+		changed[p.ID()] = true
+	}
+	var nodes []*xmltree.Node
+	after.Walk(func(n *xmltree.Node) bool {
+		if changed[n.ID()] {
+			nodes = append(nodes, n)
+		}
+		return true
+	})
+	if isInsert {
+		err = s.RevalidateInsert(after, ins, nodes)
+	} else {
+		err = s.RevalidateDelete(after, nodes)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return after, nil
 }

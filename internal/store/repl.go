@@ -57,9 +57,7 @@ func (s *Store) pushReplFrame(lsn uint64, payload []byte) {
 		CRC:     crc32.Checksum(cp, castagnoli),
 		Payload: cp,
 	})
-	if excess := len(s.replLog) - s.opts.ReplBuffer; excess > 0 {
-		s.replLog = append([]ReplFrame(nil), s.replLog[excess:]...)
-	}
+	s.replLog = trimFront(s.replLog, s.opts.ReplBuffer)
 }
 
 // FramesSince returns the committed frames with LSN > after, oldest

@@ -389,34 +389,47 @@ func (s *Store) parseUpdate(op Op) (ops.Update, string, error) {
 	return nil, "", fmt.Errorf("store: unknown update kind %q", op.Kind)
 }
 
-// applyUpdate runs u on an identity-preserving clone of d's tree and
-// returns the new tree, the application points, and the new digest.
-// The document itself is untouched until commitUpdate swaps the clone
-// in — so a failed append never leaves a half-applied document.
+// applyUpdate derives the version of d's tree that u produces and
+// returns it with the number of application points and its digest. The
+// version copies only the root paths of the points and shares the rest
+// with d's tree, which Apply never changes: the document is untouched
+// until commitUpdate publishes the version, so a failed append never
+// leaves a half-applied document.
 func applyUpdate(d *doc, u ops.Update) (*xmltree.Tree, int, string, error) {
-	clone := d.tree.Clone()
-	clone.ClearModified()
-	points, err := u.Apply(clone)
+	next, points, err := u.Apply(d.tree)
 	if err != nil {
 		return nil, 0, "", err
 	}
-	return clone, len(points), clone.Digest(), nil
+	return next, len(points), next.Digest(), nil
 }
 
 // commitUpdate publishes an applied update: the old tree becomes the
-// newest admission-window entry (it is immutable from here on), the
-// clone becomes current, and the LSNs advance.
+// newest admission-window entry, the new version becomes current, and
+// the LSNs advance. Versions are immutable, so the window's pre-states
+// share every subtree their successors did not change and cost their
+// copied paths rather than a document each.
 func (s *Store) commitUpdate(d *doc, lsn uint64, kind string, u ops.Update, newTree *xmltree.Tree, digest string) {
-	d.hist = append(d.hist, histEntry{lsn: lsn, preLSN: d.lsn, kind: kind, upd: u, pre: d.tree})
-	if excess := len(d.hist) - s.opts.HistoryWindow; excess > 0 {
-		d.hist = append([]histEntry(nil), d.hist[excess:]...)
-	}
+	d.hist = trimFront(append(d.hist, histEntry{lsn: lsn, preLSN: d.lsn, kind: kind, upd: u, pre: d.tree}), s.opts.HistoryWindow)
 	d.tree = newTree
 	d.lsn = lsn
 	d.digest = digest
 	if lsn > s.lsn {
 		s.advanceLSNLocked(lsn)
 	}
+}
+
+// trimFront drops the oldest entries of a bounded log until at most max
+// remain, in place: the survivors move to the front of the same array
+// and the vacated tail is cleared, so a full log costs no allocation per
+// append and retains nothing it dropped.
+func trimFront[T any](log []T, max int) []T {
+	excess := len(log) - max
+	if excess <= 0 {
+		return log
+	}
+	n := copy(log, log[excess:])
+	clear(log[n:])
+	return log[:n]
 }
 
 // admission counts how admit settled the window entries above a stale
@@ -494,10 +507,11 @@ func (s *Store) admit(d *doc, op Op, rd *ops.Read, upd ops.Update) (admission, e
 // linearly (uncached, on a 2-vCPU host, a pair of 16-node patterns
 // took at most 0.42 ms, 64-node ones 9 ms, and a 2 000-step read 0.9 s
 // per window entry, where the concrete check took 26 ms).
-// screenMaxBytes bounds its memory: the cache keeps each pair it was
-// asked about keyed by the pair's text, both patterns and an insert's
-// payload, and without a cap 300 stale reads against one committed
-// 200 KB payload held 59 MiB.
+// screenMaxBytes bounds the rest of its time: each ask builds the pair's
+// canonical text, an insert's payload code included, and a linear read
+// embeds its tails in the payload, both O(payload) under the mutex.
+// Memory is not the reason: the cache keys each pair by the SHA-256 of
+// that text, so an entry's size does not depend on the payload.
 const (
 	screenMaxNodes = 16
 	screenMaxBytes = 256
@@ -636,18 +650,24 @@ func (s *Store) CreateCtx(ctx context.Context, id, xml string) (Result, error) {
 	return Result{Doc: id, LSN: lsn, Digest: digest}, nil
 }
 
-// Get returns the current state of a document.
+// Get returns the current state of a document. It captures the current
+// version under s.mu and serializes it after unlocking: versions are
+// immutable, so commits may proceed meanwhile.
 func (s *Store) Get(id string) (Info, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return Info{}, ErrClosed
 	}
 	d, ok := s.docs[id]
 	if !ok {
+		s.mu.Unlock()
 		return Info{}, fmt.Errorf("store: doc %q: %w", id, ErrNotFound)
 	}
-	return Info{Doc: id, LSN: d.lsn, Digest: d.digest, XML: d.tree.XML(), Size: d.tree.Size()}, nil
+	tree, info := d.tree, Info{Doc: id, LSN: d.lsn, Digest: d.digest}
+	s.mu.Unlock()
+	info.XML, info.Size = tree.XML(), tree.Size()
+	return info, nil
 }
 
 // Drop removes a document. The removal is itself a durable WAL record.
@@ -737,29 +757,36 @@ func (s *Store) submitRead(ctx context.Context, id string, op Op) (Result, error
 	}
 	rd := ops.Read{P: p}
 
+	// Admission reads the window under s.mu; the admitted version is
+	// immutable, so it is evaluated and serialized after unlocking.
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		sp.Fail(ErrClosed)
 		return Result{}, ErrClosed
 	}
 	d, ok := s.docs[id]
 	if !ok {
+		s.mu.Unlock()
 		err := fmt.Errorf("store: doc %q: %w", id, ErrNotFound)
 		sp.Fail(err)
 		return Result{}, err
 	}
 	if err := s.admitSpanned(sp, d, op, &rd, nil); err != nil {
+		s.mu.Unlock()
 		return Result{}, err
 	}
-	nodes := xmltree.SortByID(rd.Eval(d.tree))
-	out := make([]string, len(nodes))
+	tree, res := d.tree, Result{Doc: id, LSN: d.lsn, Digest: d.digest}
+	s.mu.Unlock()
+
+	nodes := rd.Eval(tree)
+	res.Nodes = make([]string, len(nodes))
 	for i, n := range nodes {
-		out[i] = d.tree.CloneSubtree(n).XML()
+		res.Nodes[i] = xmltree.SubtreeXML(n)
 	}
 	s.m.Add("store.reads", 1)
-	sp.Set("nodes", len(out))
-	return Result{Doc: id, LSN: d.lsn, Digest: d.digest, Nodes: out}, nil
+	sp.Set("nodes", len(nodes))
+	return res, nil
 }
 
 func (s *Store) submitUpdate(ctx context.Context, id string, op Op) (Result, error) {

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -110,13 +111,47 @@ func TestCanonicalBytesGolden(t *testing.T) {
 	}
 }
 
+// refCode is the recursive encoder the one-buffer kernel replaced, kept
+// here as the reference: each node's code is its own string, built from
+// its children's sorted codes. The oracle below sorts by it, so it does
+// not depend on the kernel it checks.
+func refCode(n *Node) string {
+	var b strings.Builder
+	writeRefCode(&b, n)
+	return b.String()
+}
+
+func writeRefCode(b *strings.Builder, n *Node) {
+	b.WriteByte('(')
+	b.WriteString(refEscapeLabel(n.label))
+	if len(n.children) > 0 {
+		codes := make([]string, len(n.children))
+		for i, c := range n.children {
+			codes[i] = refCode(c)
+		}
+		sort.Strings(codes)
+		for _, c := range codes {
+			b.WriteString(c)
+		}
+	}
+	b.WriteByte(')')
+}
+
+func refEscapeLabel(l string) string {
+	if !strings.ContainsAny(l, `()\`) {
+		return l
+	}
+	r := strings.NewReplacer(`\`, `\\`, `(`, `\(`, `)`, `\)`)
+	return r.Replace(l)
+}
+
 // The comparator-sorting writer the one-pass writer replaced, kept here
 // as the oracle: it re-encodes both subtrees on every comparison.
 
 func oldSortedChildren(n *Node) []*Node {
 	cs := append([]*Node(nil), n.children...)
 	sort.Slice(cs, func(i, j int) bool {
-		ci, cj := Code(cs[i]), Code(cs[j])
+		ci, cj := refCode(cs[i]), refCode(cs[j])
 		if ci != cj {
 			return ci < cj
 		}
@@ -159,7 +194,7 @@ func oldString(b *strings.Builder, n *Node) {
 	}
 	fmt.Fprintf(b, "<%s>", n.Label())
 	cs := append([]*Node(nil), n.children...)
-	sort.Slice(cs, func(i, j int) bool { return Code(cs[i]) < Code(cs[j]) })
+	sort.Slice(cs, func(i, j int) bool { return refCode(cs[i]) < refCode(cs[j]) })
 	for _, c := range cs {
 		oldString(b, c)
 	}
@@ -204,11 +239,36 @@ func TestWriterMatchesComparatorWriter(t *testing.T) {
 		if got := tr.String(); got != wantString.String() {
 			t.Fatalf("tree %d: String\n got %s\nwant %s", i, got, wantString.String())
 		}
-		c := canonicalOrder(tr.Root())
-		for k, n := range c.nodes {
-			if c.codes[k] != Code(n) {
-				t.Fatalf("tree %d: one-pass code of node %d is %s, Code gives %s", i, n.ID(), c.codes[k], Code(n))
+	}
+}
+
+// TestCodeMatchesReferenceEncoder holds the kernel's Code, at every node
+// of random trees with escaped labels and isomorphic siblings, and its
+// Digest, to the per-node-string encoder it replaced.
+func TestCodeMatchesReferenceEncoder(t *testing.T) {
+	alphabets := [][]string{
+		{"a", "b"},
+		{"a", "a(", `a\`, "a)", "(", `\`, ")", "é", "b-1"},
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 1000; i++ {
+		tr := Random(rng, RandomConfig{
+			Size:   1 + rng.Intn(40),
+			Labels: alphabets[i%len(alphabets)],
+			Skew:   rng.Float64() * 0.6,
+		})
+		if i%2 == 1 {
+			nodes := tr.Nodes()
+			src := tr.CloneSubtree(nodes[rng.Intn(len(nodes))])
+			tr.Graft(nodes[rng.Intn(len(nodes))], src)
+		}
+		for _, n := range tr.Nodes() {
+			if got, want := Code(n), refCode(n); got != want {
+				t.Fatalf("tree %d node %d: Code = %s, reference = %s", i, n.ID(), got, want)
 			}
+		}
+		if got, want := tr.Digest(), sha(refCode(tr.Root())); got != want {
+			t.Fatalf("tree %d: Digest = %s, reference = %s", i, got, want)
 		}
 	}
 }
@@ -234,4 +294,41 @@ func TestWriteReportsWriterError(t *testing.T) {
 	if err := tr.Write(&failingWriter{n: 1 << 30}, true); err != nil {
 		t.Fatalf("Write failed on a healthy writer: %v", err)
 	}
+}
+
+// TestVersionsReadConcurrently: versions share nodes and the writers
+// share pooled kernel buffers, so goroutines reading versions of one
+// document at once must see what one reader alone sees.
+func TestVersionsReadConcurrently(t *testing.T) {
+	base := docsShaped(6, 6)
+	versions := []*Tree{base}
+	for _, id := range []int{3, 40, 77, 150} {
+		versions = append(versions, graft(base, id, "<n><v/></n>"))
+	}
+	want := make([]string, len(versions))
+	iso := make([]bool, len(versions))
+	for i, v := range versions {
+		want[i] = v.Digest() + v.XML() + v.String()
+		iso[i] = Isomorphic(v, versions[(i+1)%len(versions)])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 20; k++ {
+				i := (g + k) % len(versions)
+				v := versions[i]
+				if got := v.Digest() + v.XML() + v.String(); got != want[i] {
+					t.Errorf("version %d read differently under concurrency", i)
+					return
+				}
+				if IsomorphicDerived(base, v, versions[(i+1)%len(versions)]) != iso[i] {
+					t.Errorf("versions %d and %d compared differently under concurrency", i, (i+1)%len(versions))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -54,13 +54,13 @@ func TestSortByID(t *testing.T) {
 	}
 }
 
-func TestContainsForeignNode(t *testing.T) {
+func TestParentsForeignNode(t *testing.T) {
 	a := MustParse("<a><b/></a>")
 	other := MustParse("<a><b/></a>")
-	if a.Contains(other.Root()) {
+	if _, ok := a.Parents()[other.Root()]; ok {
 		t.Fatalf("foreign node contained")
 	}
-	if !a.Contains(a.Root().Children()[0]) {
+	if _, ok := a.Parents()[a.Root().Children()[0]]; !ok {
 		t.Fatalf("own child not contained")
 	}
 }

@@ -1,12 +1,13 @@
 package xmltree
 
 import (
+	"bytes"
 	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"slices"
 	"sort"
-	"strings"
+	"sync"
 )
 
 // Code returns a canonical string encoding of the subtree rooted at n.
@@ -16,82 +17,110 @@ import (
 // a node's code is its (escaped) label followed by the sorted codes of its
 // children, wrapped in parentheses.
 func Code(n *Node) string {
-	var b strings.Builder
-	writeCode(&b, n)
-	return b.String()
+	c := canonicalOrder(n)
+	defer c.release()
+	return string(c.code(0))
 }
 
-func writeCode(b *strings.Builder, n *Node) {
-	b.WriteByte('(')
-	b.WriteString(escapeLabel(*n.label))
-	if len(n.children) > 0 {
-		codes := make([]string, len(n.children))
-		for i, c := range n.children {
-			codes[i] = Code(c)
-		}
-		sort.Strings(codes)
-		for _, c := range codes {
-			b.WriteString(c)
-		}
-	}
-	b.WriteByte(')')
-}
-
-// canonical is one tree's canonical child order, computed once per call:
-// the subtree's nodes in preorder, each node's Code (built bottom-up from
-// its children's, as writeCode does), and each node's children sorted by
-// (code, identity). Comparisons do not re-encode subtrees, so the writers
-// that use it cost O(Σ code lengths) = O(|t|·depth) rather than
-// re-encoding both operands on every comparison.
+// canonical is the canonical-code kernel every writer runs on: one pass
+// over one or more subtrees that lists their nodes in preorder, builds
+// each node's AHU code as a span of one byte buffer, and orders each
+// node's children by (code bytes, identity). Code, Digest, XML, Write
+// and String read its buffer or its order; the isomorphism tests compare
+// spans of it.
+//
+// A node's code is built in place: its label, then its children's codes
+// as the recursion leaves them, which the node then reorders into sorted
+// order. A finished code is therefore contiguous when its parent sorts,
+// and the whole pass costs O(Σ code lengths) = O(|t|·depth) bytes moved,
+// with no string per node.
 type canonical struct {
+	buf   []byte
 	nodes []*Node
-	codes []string
+	// span[i] is node i's code in buf, valid until its parent reorders
+	// its children; the roots' spans stay valid.
+	span [][2]int32
 	// node i's children, in canonical order, as indexes into nodes:
 	// kids[first[i] : first[i]+len(nodes[i].children)].
 	first []int32
 	kids  []int32
+	roots []int32
+	tmp   []byte
+	cmp   func(a, b int32) int // compare, bound once
 }
 
-func canonicalOrder(root *Node) *canonical {
-	c := &canonical{}
-	c.visit(root)
+var canonicalPool = sync.Pool{New: func() any {
+	c := new(canonical)
+	c.cmp = c.compare
 	return c
+}}
+
+// canonicalOrder runs the kernel over the subtrees rooted at the given
+// nodes. The caller releases the result.
+func canonicalOrder(roots ...*Node) *canonical {
+	c := canonicalPool.Get().(*canonical)
+	for _, r := range roots {
+		c.roots = append(c.roots, c.visit(r))
+	}
+	return c
+}
+
+// release returns c to the pool, dropping its node references.
+func (c *canonical) release() {
+	clear(c.nodes)
+	c.buf, c.nodes, c.span, c.first, c.kids, c.roots, c.tmp =
+		c.buf[:0], c.nodes[:0], c.span[:0], c.first[:0], c.kids[:0], c.roots[:0], c.tmp[:0]
+	canonicalPool.Put(c)
+}
+
+// code returns the code of the k-th root.
+func (c *canonical) code(k int) []byte {
+	s := c.span[c.roots[k]]
+	return c.buf[s[0]:s[1]]
 }
 
 func (c *canonical) visit(n *Node) int32 {
 	i := int32(len(c.nodes))
 	c.nodes = append(c.nodes, n)
-	c.codes = append(c.codes, "")
+	c.span = append(c.span, [2]int32{})
 	f := len(c.kids)
 	c.first = append(c.first, int32(f))
 	for range n.children {
 		c.kids = append(c.kids, 0)
 	}
+	start := len(c.buf)
+	c.buf = append(c.buf, '(')
+	c.buf = appendEscaped(c.buf, n.label)
+	mid := len(c.buf)
 	for k, ch := range n.children {
-		c.kids[f+k] = c.visit(ch)
+		v := c.visit(ch) // may grow c.kids
+		c.kids[f+k] = v
 	}
 	ks := c.kids[f : f+len(n.children)]
-	slices.SortFunc(ks, func(a, b int32) int {
-		if d := strings.Compare(c.codes[a], c.codes[b]); d != 0 {
-			return d
+	if len(ks) > 1 && !slices.IsSortedFunc(ks, c.cmp) {
+		slices.SortFunc(ks, c.cmp)
+		// Rewrite the children's codes in their canonical order.
+		c.tmp = c.tmp[:0]
+		for _, k := range ks {
+			s := c.span[k]
+			at := int32(mid + len(c.tmp))
+			c.tmp = append(c.tmp, c.buf[s[0]:s[1]]...)
+			c.span[k] = [2]int32{at, at + s[1] - s[0]}
 		}
-		return cmp.Compare(c.nodes[a].ID(), c.nodes[b].ID())
-	})
-	label := escapeLabel(*n.label)
-	size := len(label) + 2
-	for _, k := range ks {
-		size += len(c.codes[k])
+		copy(c.buf[mid:], c.tmp)
 	}
-	var b strings.Builder
-	b.Grow(size)
-	b.WriteByte('(')
-	b.WriteString(label)
-	for _, k := range ks {
-		b.WriteString(c.codes[k])
-	}
-	b.WriteByte(')')
-	c.codes[i] = b.String()
+	c.buf = append(c.buf, ')')
+	c.span[i] = [2]int32{int32(start), int32(len(c.buf))}
 	return i
+}
+
+// compare orders two finished nodes by code bytes, then identity.
+func (c *canonical) compare(a, b int32) int {
+	sa, sb := c.span[a], c.span[b]
+	if d := bytes.Compare(c.buf[sa[0]:sa[1]], c.buf[sb[0]:sb[1]]); d != 0 {
+		return d
+	}
+	return cmp.Compare(c.nodes[a].id, c.nodes[b].id)
 }
 
 // children returns node i's children in canonical order.
@@ -100,13 +129,17 @@ func (c *canonical) children(i int32) []int32 {
 	return c.kids[f : int(f)+len(c.nodes[i].children)]
 }
 
-// escapeLabel makes labels safe inside the parenthesized encoding.
-func escapeLabel(l string) string {
-	if !strings.ContainsAny(l, `()\`) {
-		return l
+// appendEscaped appends a label made safe inside the parenthesized
+// encoding: '(', ')' and '\' are escaped with a backslash.
+func appendEscaped(b []byte, l string) []byte {
+	for i := 0; i < len(l); i++ {
+		switch l[i] {
+		case '(', ')', '\\':
+			b = append(b, '\\')
+		}
+		b = append(b, l[i])
 	}
-	r := strings.NewReplacer(`\`, `\\`, `(`, `\(`, `)`, `\)`)
-	return r.Replace(l)
+	return b
 }
 
 // Digest returns a fixed-length hex digest of the tree's canonical AHU
@@ -115,7 +148,9 @@ func escapeLabel(l string) string {
 // record and snapshot so recovery can re-verify that replay reproduced
 // exactly the tree that was acknowledged.
 func (t *Tree) Digest() string {
-	sum := sha256.Sum256([]byte(Code(t.root)))
+	c := canonicalOrder(t.root)
+	sum := sha256.Sum256(c.code(0))
+	c.release()
 	return hex.EncodeToString(sum[:])
 }
 
@@ -131,30 +166,29 @@ func IsomorphicNodes(a, b *Node) bool {
 }
 
 // isoNodes decides isomorphism by comparing labels and child counts, then
-// the sorted child codes. Building those codes costs O(|t|·depth) (each
-// node's code is rebuilt once per ancestor), not O(|t|); the label and
-// count checks only cut clearly different roots short.
+// the multisets of child codes; the label and count checks only cut
+// clearly different roots short.
 func isoNodes(a, b *Node) bool {
-	if *a.label != *b.label || len(a.children) != len(b.children) {
+	if a.label != b.label || len(a.children) != len(b.children) {
 		return false
 	}
 	return sameCodes(a.children, b.children)
 }
 
 // IsomorphicDerived reports whether a and b are isomorphic (Definition 1)
-// when both derive from the tree pre: each is a Clone of pre with its
-// modified flags cleared, changed since only by operations that mark every
-// change point and its ancestors (MarkModified), as insertion and deletion
-// do. The answer is exact, and the cost tracks what the two derivations
-// changed rather than the size of the tree:
+// when both derive from the tree pre through ops.Update.Apply, which
+// changes no node of its input and copies the root path of every change
+// point: a node of a version is pre's node exactly when its subtree is
+// pre's. The answer is exact, and the cost tracks what the two
+// derivations changed rather than the size of the tree:
 //
-//   - A child that keeps a source identity (below pre's next identity) is
-//     the same node of pre on both sides. If it is unmodified on both, its
-//     subtree is pre's on both, so it cancels from its parent's child
-//     multiset.
+//   - A child that is the same node on both sides has the same subtree on
+//     both, so it cancels from its parent's child multiset. Nodes are
+//     shared only with pre (each derivation copies and grafts its own),
+//     so that is a node of pre neither derivation changed.
 //   - Fresh nodes draw identities from pre's next identity in both trees,
 //     so an identity at or above it names unrelated nodes on the two sides
-//     and never cancels or pairs.
+//     and never pairs.
 //   - What remains is compared pairwise by identity when it pairs up, and
 //     by canonical codes otherwise (or when a pair differs and another
 //     matching could still succeed).
@@ -162,34 +196,34 @@ func IsomorphicDerived(pre, a, b *Tree) bool {
 	return isoDerived(a.root, b.root, pre.nextID)
 }
 
-// isoDerived compares x and y, two copies of the same node of pre.
+// isoDerived compares x and y, two versions of the same node of pre.
 func isoDerived(x, y *Node, next int) bool {
-	if !x.Modified() && !y.Modified() {
+	if x == y {
 		return true
 	}
-	if *x.label != *y.label || len(x.children) != len(y.children) {
+	if x.label != y.label || len(x.children) != len(y.children) {
 		return false
 	}
 	// Both child lists keep pre's order, in which identities ascend, so a
 	// merge by identity matches every source child present on both sides.
 	// Out of order (possible only after Attach), some would go unmatched
 	// and be compared by code instead: slower, still exact, because only
-	// a node identical on both sides ever cancels.
+	// a node shared by both sides ever cancels.
 	xs, ys := x.children, y.children
 	var rx, ry []*Node
 	paired := true
 	for i, j := 0, 0; i < len(xs) || j < len(ys); {
 		switch {
-		case i < len(xs) && xs[i].ID() >= next: // fresh: never cancels
+		case i < len(xs) && xs[i].id >= next: // fresh: never pairs
 			rx, i, paired = append(rx, xs[i]), i+1, false
-		case j < len(ys) && ys[j].ID() >= next:
+		case j < len(ys) && ys[j].id >= next:
 			ry, j, paired = append(ry, ys[j]), j+1, false
-		case j == len(ys) || i < len(xs) && xs[i].ID() < ys[j].ID(): // gone from y
+		case j == len(ys) || i < len(xs) && xs[i].id < ys[j].id: // gone from y
 			rx, i, paired = append(rx, xs[i]), i+1, false
-		case i == len(xs) || ys[j].ID() < xs[i].ID(): // gone from x
+		case i == len(xs) || ys[j].id < xs[i].id: // gone from x
 			ry, j, paired = append(ry, ys[j]), j+1, false
-		default: // the same node of pre on both sides
-			if xs[i].Modified() || ys[j].Modified() {
+		default: // versions of the same node of pre
+			if xs[i] != ys[j] {
 				rx, ry = append(rx, xs[i]), append(ry, ys[j])
 			}
 			i, j = i+1, j+1
@@ -217,14 +251,27 @@ func sameCodes(a, b []*Node) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	ac := make([]string, len(a))
-	bc := make([]string, len(b))
-	for i := range a {
-		ac[i], bc[i] = Code(a[i]), Code(b[i])
+	return sameCodeLists(a, b, false)
+}
+
+// sameCodeLists runs the kernel once over a and b and compares their
+// sorted code lists, as sets when dedup is set.
+func sameCodeLists(a, b []*Node, dedup bool) bool {
+	c := canonicalOrder(append(slices.Clip(a), b...)...)
+	defer c.release()
+	codes := func(ks []int32) [][]byte {
+		out := make([][]byte, len(ks))
+		for i, k := range ks {
+			s := c.span[k]
+			out[i] = c.buf[s[0]:s[1]]
+		}
+		slices.SortFunc(out, bytes.Compare)
+		if dedup {
+			out = slices.CompactFunc(out, bytes.Equal)
+		}
+		return out
 	}
-	sort.Strings(ac)
-	sort.Strings(bc)
-	return slices.Equal(ac, bc)
+	return slices.EqualFunc(codes(c.roots[:len(a)]), codes(c.roots[len(a):]), bytes.Equal)
 }
 
 // SameNodeSet reports whether two node slices contain the same node
@@ -256,23 +303,7 @@ func SameNodeSet(a, b []*Node) bool {
 // isomorphic counterpart on the other side) used by the value-based
 // conflict semantics (Definitions 5-6).
 func SameIsoClasses(a, b []*Node) bool {
-	as := map[string]bool{}
-	for _, n := range a {
-		as[Code(n)] = true
-	}
-	bs := map[string]bool{}
-	for _, n := range b {
-		bs[Code(n)] = true
-	}
-	if len(as) != len(bs) {
-		return false
-	}
-	for c := range as {
-		if !bs[c] {
-			return false
-		}
-	}
-	return true
+	return sameCodeLists(a, b, true)
 }
 
 // SortByID sorts nodes in place by identity and returns the slice; useful

@@ -9,84 +9,54 @@
 //
 // Nodes have stable integer identities. The reference-based conflict
 // semantics of the paper (Definitions 2-4) compare results by node identity
-// across a tree and its updated version, so a Tree can be cloned with
-// identities preserved (Clone) while freshly inserted nodes always draw new
-// identities.
+// across a tree and its updated version, so the version an update returns
+// (Inserted, Deleted) keeps every identity and shares the subtrees it left
+// alone, a Clone keeps identities too, and freshly inserted nodes always
+// draw new identities.
 package xmltree
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 )
 
 // Node is a node of an unordered labeled tree. Nodes are created and owned
 // by a Tree; the zero value is not useful.
 //
-// The store retains a clone of each document for every admission-window
-// entry, so a Node is kept to the 48-byte allocation class: clones share
-// their source's label header, and the identity and the subtree-modified
-// flag share one word.
+// A node has no parent pointer, so versions of a document share every
+// subtree an update left alone: ops.Update.Apply copies only the paths
+// from the root to its points (Inserted, Deleted). Callers that need a
+// node's ancestors carry its root path, as the match kernel's reached
+// records do, or build a parent index per call on a small tree
+// (Parents). The label lives in the node, which keeps a Node to one
+// 48-byte allocation however it was made (parsed, grafted or copied onto
+// a new version's path).
 type Node struct {
-	label    *string
-	parent   *Node
+	label    string
 	children []*Node
-	// key is id<<1 | modified. The modified bit records that the subtree
-	// rooted at this node was changed by an update operation (used by the
-	// Lemma 1 tree-conflict checker and the commute check).
-	key int
+	id       int
 }
 
 // ID returns the node's identity, unique within its tree's history. Clones
-// made with Tree.Clone preserve IDs; nodes added by updates get fresh IDs.
-func (n *Node) ID() int { return n.key >> 1 }
+// made with Tree.Clone and the versions updates return preserve IDs; nodes
+// added by updates get fresh IDs.
+func (n *Node) ID() int { return n.id }
 
 // Label returns the node's label.
-func (n *Node) Label() string { return *n.label }
-
-// Parent returns the node's parent, or nil for the root.
-func (n *Node) Parent() *Node { return n.parent }
+func (n *Node) Label() string { return n.label }
 
 // Children returns the node's children. The returned slice is owned by the
 // tree and must not be modified by the caller.
 func (n *Node) Children() []*Node { return n.children }
 
-// Modified reports whether the subtree rooted at n has been changed by an
-// update operation applied to its tree.
-func (n *Node) Modified() bool { return n.key&1 != 0 }
-
-// IsAncestorOf reports whether n is a proper ancestor of m.
-func (n *Node) IsAncestorOf(m *Node) bool {
-	for p := m.parent; p != nil; p = p.parent {
-		if p == n {
-			return true
-		}
-	}
-	return false
-}
-
-// Depth returns the number of edges from the root to n.
-func (n *Node) Depth() int {
-	d := 0
-	for p := n.parent; p != nil; p = p.parent {
-		d++
-	}
-	return d
-}
-
-// PathLabels returns the labels on the path from the root to n, inclusive.
-func (n *Node) PathLabels() []string {
-	var rev []string
-	for m := n; m != nil; m = m.parent {
-		rev = append(rev, *m.label)
-	}
-	out := make([]string, len(rev))
-	for i, l := range rev {
-		out[len(rev)-1-i] = l
-	}
-	return out
-}
-
 // Tree is a rooted, unordered, labeled tree.
+//
+// Trees are values shared between versions: ops.Update.Apply changes no
+// node reachable from the tree it is given, and the version it returns
+// shares all but its copied paths with that tree. The in-place mutators
+// (AddChild, Graft, DeleteSubtree, Detach, Attach, Relabel) are for
+// building a tree and for changing a private Clone; on a tree that shares
+// nodes with a version still in use they would change both.
 type Tree struct {
 	root   *Node
 	nextID int
@@ -95,25 +65,13 @@ type Tree struct {
 // New returns a tree consisting of a single root node with the given label.
 func New(rootLabel string) *Tree {
 	t := &Tree{}
-	t.root = t.newNode(withLabel(rootLabel))
+	t.root = t.newNode(rootLabel)
 	return t
 }
 
-// withLabel allocates a node together with its label header, in one
-// 64-byte allocation; clones and grafted copies share the header and take
-// 48 bytes.
-func withLabel(label string) *Node {
-	a := &struct {
-		n Node
-		l string
-	}{l: label}
-	a.n.label = &a.l
-	return &a.n
-}
-
-// newNode gives n the tree's next identity.
-func (t *Tree) newNode(n *Node) *Node {
-	n.key = t.nextID << 1
+// newNode allocates a node with the tree's next identity.
+func (t *Tree) newNode(label string) *Node {
+	n := &Node{label: label, id: t.nextID}
 	t.nextID++
 	return n
 }
@@ -124,12 +82,7 @@ func (t *Tree) Root() *Node { return t.root }
 // AddChild creates a new node with the given label, attaches it as a child
 // of parent, and returns it. The parent must belong to this tree.
 func (t *Tree) AddChild(parent *Node, label string) *Node {
-	return t.addChild(parent, withLabel(label))
-}
-
-func (t *Tree) addChild(parent, n *Node) *Node {
-	t.newNode(n)
-	n.parent = parent
+	n := t.newNode(label)
 	parent.children = append(parent.children, n)
 	return n
 }
@@ -195,34 +148,56 @@ func (t *Tree) NodeByID(id int) *Node {
 // Labels returns the set of labels used in the tree (Σ_t in the paper).
 func (t *Tree) Labels() map[string]bool {
 	out := map[string]bool{}
-	t.Walk(func(n *Node) bool { out[*n.label] = true; return true })
+	t.Walk(func(n *Node) bool { out[n.label] = true; return true })
 	return out
 }
 
-// Contains reports whether n belongs to this tree.
-func (t *Tree) Contains(n *Node) bool {
-	for m := n; m != nil; m = m.parent {
-		if m == t.root {
-			return true
+// Parents returns an index from each node of t to its parent; the root
+// maps to nil. Nodes carry no parent pointer, so callers that walk
+// upward on a small tree (a witness, a test) build one per call; on a
+// shared node it answers for this tree's version only.
+func (t *Tree) Parents() map[*Node]*Node {
+	out := map[*Node]*Node{t.root: nil}
+	t.Walk(func(n *Node) bool {
+		for _, c := range n.children {
+			out[c] = n
 		}
+		return true
+	})
+	return out
+}
+
+// parentOf returns n's parent in t, and whether n is a node of t.
+func (t *Tree) parentOf(n *Node) (*Node, bool) {
+	if n == t.root {
+		return nil, true
 	}
-	return false
+	var parent *Node
+	t.Walk(func(m *Node) bool {
+		if parent != nil {
+			return false
+		}
+		for _, c := range m.children {
+			if c == n {
+				parent = m
+				return false
+			}
+		}
+		return true
+	})
+	return parent, parent != nil
 }
 
 // Clone returns a deep copy of the tree in which every node keeps its
-// identity. It is the basis for comparing R(t) with R(op(t)) under the
-// reference-based semantics of Section 3.
+// identity: a private copy the in-place mutators may change.
 func (t *Tree) Clone() *Tree {
-	nt := &Tree{nextID: t.nextID}
-	nt.root = cloneNode(t.root, nil)
-	return nt
+	return &Tree{root: cloneNode(t.root), nextID: t.nextID}
 }
 
-func cloneNode(n *Node, parent *Node) *Node {
-	m := &Node{key: n.key, label: n.label, parent: parent}
-	m.children = make([]*Node, len(n.children))
+func cloneNode(n *Node) *Node {
+	m := &Node{label: n.label, id: n.id, children: make([]*Node, len(n.children))}
 	for i, c := range n.children {
-		m.children[i] = cloneNode(c, m)
+		m.children[i] = cloneNode(c)
 	}
 	return m
 }
@@ -230,21 +205,18 @@ func cloneNode(n *Node, parent *Node) *Node {
 // CloneSubtree returns SUBTREE_n(t) as a fresh tree. Node identities are
 // preserved from the source tree.
 func (t *Tree) CloneSubtree(n *Node) *Tree {
-	nt := &Tree{nextID: t.nextID}
-	nt.root = cloneNode(n, nil)
-	return nt
+	return &Tree{root: cloneNode(n), nextID: t.nextID}
 }
 
 // Graft attaches a fresh copy of the tree x as a new child of parent and
 // returns the root of the copy. The copy's nodes draw new identities from
 // this tree, modeling the INSERT operation's fresh clones X_i (Section 3).
 func (t *Tree) Graft(parent *Node, x *Tree) *Node {
-	r := t.graftNode(parent, x.root)
-	return r
+	return t.graftNode(parent, x.root)
 }
 
 func (t *Tree) graftNode(parent *Node, src *Node) *Node {
-	n := t.addChild(parent, &Node{label: src.label})
+	n := t.AddChild(parent, src.label)
 	for _, c := range src.children {
 		t.graftNode(n, c)
 	}
@@ -253,38 +225,32 @@ func (t *Tree) graftNode(parent *Node, src *Node) *Node {
 
 // DeleteSubtree detaches the subtree rooted at n from the tree. It returns
 // an error when n is the root (the paper requires deletions to leave a
-// tree: Ø(p) ≠ ROOT(p)).
+// tree: Ø(p) ≠ ROOT(p)) or not a node of t. It finds n's parent by a
+// walk, so it costs O(|t|).
 func (t *Tree) DeleteSubtree(n *Node) error {
 	if n == t.root {
 		return fmt.Errorf("xmltree: cannot delete the root of a tree")
 	}
-	p := n.parent
-	for i, c := range p.children {
-		if c == n {
-			p.children = append(p.children[:i], p.children[i+1:]...)
-			break
-		}
+	p, ok := t.parentOf(n)
+	if !ok {
+		return fmt.Errorf("xmltree: node %d is not in the tree", n.id)
 	}
-	n.parent = nil
+	p.children = removeChild(p.children, n)
 	return nil
 }
 
-// MarkModified sets the subtree-modified flag on n and every ancestor of n.
-// Update operations call it at each change point so that the tree-conflict
-// check of Lemma 1 runs in time linear in |t|.
-func (t *Tree) MarkModified(n *Node) {
-	for m := n; m != nil; m = m.parent {
-		m.key |= 1
+// removeChild removes n from a child list, keeping the others' order.
+func removeChild(children []*Node, n *Node) []*Node {
+	for i, c := range children {
+		if c == n {
+			return slices.Delete(children, i, i+1)
+		}
 	}
-}
-
-// ClearModified resets all subtree-modified flags.
-func (t *Tree) ClearModified() {
-	t.Walk(func(n *Node) bool { n.key &^= 1; return true })
+	return children
 }
 
 // Relabel changes the label of n.
-func (t *Tree) Relabel(n *Node, label string) { n.label = &label }
+func (t *Tree) Relabel(n *Node, label string) { n.label = label }
 
 // Detach removes n from its parent without deleting it, and Attach places a
 // detached node (with its subtree) under a new parent. They implement the
@@ -294,21 +260,117 @@ func (t *Tree) Detach(n *Node) error {
 	return t.DeleteSubtree(n)
 }
 
-// Attach makes the detached node n a child of parent. n must not currently
-// have a parent.
+// Attach makes the detached node n a child of parent. n must not be a
+// node of t.
 func (t *Tree) Attach(parent, n *Node) error {
-	if n.parent != nil {
-		return fmt.Errorf("xmltree: node %d is already attached", n.ID())
+	if _, ok := t.parentOf(n); ok {
+		return fmt.Errorf("xmltree: node %d is already attached", n.id)
 	}
-	n.parent = parent
 	parent.children = append(parent.children, n)
 	return nil
 }
 
+// Paths names nodes of one tree together with their root paths, in the
+// form the match kernel reaches them. Nodes holds the named nodes and
+// their ancestors, every node after its parent, Nodes[0] the root;
+// Parent[i] indexes the parent of Nodes[i] (-1 for the root); At indexes
+// the named nodes, in the order an edit visits them. Nodes off the named
+// nodes' root paths may be listed; they are left alone.
+type Paths struct {
+	Nodes  []*Node
+	Parent []int32
+	At     []int32
+}
+
+// Points returns the named nodes, in At's order.
+func (ps Paths) Points() []*Node {
+	out := make([]*Node, len(ps.At))
+	for k, i := range ps.At {
+		out[k] = ps.Nodes[i]
+	}
+	return out
+}
+
+// Inserted returns the version of t in which every node named by ps has
+// a fresh copy of x as a new child (the INSERT of Section 3), grafted in
+// At's order so fresh identities follow it. t is not changed: the named
+// nodes and their ancestors are copied, keeping their identities, and
+// every other node is shared with t.
+func (t *Tree) Inserted(ps Paths, x *Tree) *Tree {
+	need := make([]bool, len(ps.Nodes))
+	for _, i := range ps.At {
+		for ; i >= 0 && !need[i]; i = ps.Parent[i] {
+			need[i] = true
+		}
+	}
+	nt, copies := t.copyPaths(ps, need)
+	for _, i := range ps.At {
+		nt.graftNode(copies[i], x.root)
+	}
+	return nt
+}
+
+// Deleted returns the version of t without the subtrees rooted at the
+// nodes named by ps (the DELETE of Section 3); a named node below another
+// goes with it. t is not changed: the named nodes' ancestors are copied,
+// keeping their identities, and every other node is shared with t. It
+// returns an error when the root is named.
+func (t *Tree) Deleted(ps Paths) (*Tree, error) {
+	gone := make([]bool, len(ps.Nodes))
+	for _, i := range ps.At {
+		if ps.Parent[i] < 0 {
+			return nil, fmt.Errorf("xmltree: cannot delete the root of a tree")
+		}
+		gone[i] = true
+	}
+	// Nodes lists parents first, so one pass spreads deletion downward
+	// and leaves gone[i] && !gone[parent] only at the topmost points.
+	var top []int32
+	for i, p := range ps.Parent {
+		if p >= 0 && gone[p] {
+			gone[i] = true
+		} else if gone[i] {
+			top = append(top, int32(i))
+		}
+	}
+	need := make([]bool, len(ps.Nodes))
+	for _, i := range top {
+		for p := ps.Parent[i]; p >= 0 && !need[p]; p = ps.Parent[p] {
+			need[p] = true
+		}
+	}
+	nt, copies := t.copyPaths(ps, need)
+	for _, i := range top {
+		p := copies[ps.Parent[i]]
+		p.children = removeChild(p.children, ps.Nodes[i])
+	}
+	return nt, nil
+}
+
+// copyPaths returns a new version of t in which each node of ps marked
+// in need is replaced by a copy with the same identity and label and its
+// own child list, and copies[i] is the copy of ps.Nodes[i]. A marked
+// node's parent must be marked too, so the copies form root paths.
+func (t *Tree) copyPaths(ps Paths, need []bool) (*Tree, []*Node) {
+	nt := &Tree{root: t.root, nextID: t.nextID}
+	copies := make([]*Node, len(ps.Nodes))
+	for i, n := range ps.Nodes {
+		if !need[i] {
+			continue
+		}
+		c := &Node{label: n.label, id: n.id, children: make([]*Node, len(n.children), len(n.children)+1)}
+		copy(c.children, n.children)
+		copies[i] = c
+		if p := ps.Parent[i]; p >= 0 {
+			pc := copies[p]
+			pc.children[slices.Index(pc.children, n)] = c
+		} else {
+			nt.root = c
+		}
+	}
+	return nt, copies
+}
+
 // String renders the tree in a compact, deterministic, XML-like form with
 // children sorted by canonical code. It is meant for debugging and tests.
-func (t *Tree) String() string {
-	var b strings.Builder
-	canonicalOrder(t.root).write(&b, 0, func(l string) string { return l })
-	return b.String()
-}
+func (t *Tree) String() string { return canonicalString(t.root, nil) }

@@ -2,6 +2,7 @@ package xmltree
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -15,12 +16,30 @@ func TestNewSingleNode(t *testing.T) {
 	if tr.Size() != 1 {
 		t.Fatalf("size = %d, want 1", tr.Size())
 	}
-	if tr.Root().Parent() != nil {
+	if p, ok := tr.Parents()[tr.Root()]; !ok || p != nil {
 		t.Fatalf("root has a parent")
 	}
-	if tr.Root().Depth() != 0 {
-		t.Fatalf("root depth = %d", tr.Root().Depth())
+	if got := len(rootPath(tr, tr.Root())); got != 1 {
+		t.Fatalf("root depth = %d", got-1)
 	}
+}
+
+// rootPath returns the nodes from the root to n, inclusive, read off the
+// tree's parent index.
+func rootPath(tr *Tree, n *Node) []*Node {
+	parents := tr.Parents()
+	var rev []*Node
+	for m := n; m != nil; m = parents[m] {
+		rev = append(rev, m)
+	}
+	slices.Reverse(rev)
+	return rev
+}
+
+// isAncestor reports whether a is a proper ancestor of n in tr.
+func isAncestor(tr *Tree, a, n *Node) bool {
+	path := rootPath(tr, n)
+	return slices.Contains(path[:len(path)-1], a)
 }
 
 func TestAddChildStructure(t *testing.T) {
@@ -30,20 +49,25 @@ func TestAddChildStructure(t *testing.T) {
 	if got := tr.Size(); got != 3 {
 		t.Fatalf("size = %d, want 3", got)
 	}
-	if c.Parent() != b || b.Parent() != tr.Root() {
+	parents := tr.Parents()
+	if parents[c] != b || parents[b] != tr.Root() {
 		t.Fatalf("parent links wrong")
 	}
-	if !tr.Root().IsAncestorOf(c) || !b.IsAncestorOf(c) {
+	if !isAncestor(tr, tr.Root(), c) || !isAncestor(tr, b, c) {
 		t.Fatalf("ancestor relation wrong")
 	}
-	if c.IsAncestorOf(b) || c.IsAncestorOf(c) {
-		t.Fatalf("IsAncestorOf must be proper and directed")
+	if isAncestor(tr, c, b) || isAncestor(tr, c, c) {
+		t.Fatalf("ancestor relation must be proper and directed")
 	}
-	if got := c.Depth(); got != 2 {
+	path := rootPath(tr, c)
+	if got := len(path) - 1; got != 2 {
 		t.Fatalf("depth = %d, want 2", got)
 	}
 	want := []string{"a", "b", "c"}
-	got := c.PathLabels()
+	var got []string
+	for _, n := range path {
+		got = append(got, n.Label())
+	}
 	if len(got) != len(want) {
 		t.Fatalf("path = %v", got)
 	}
@@ -122,14 +146,17 @@ func TestDeleteSubtree(t *testing.T) {
 	if tr.Size() != 2 {
 		t.Fatalf("size = %d, want 2", tr.Size())
 	}
-	if !tr.Contains(d) {
+	if _, ok := tr.Parents()[d]; !ok {
 		t.Fatalf("sibling was deleted")
 	}
-	if tr.Contains(b) {
+	if _, ok := tr.Parents()[b]; ok {
 		t.Fatalf("deleted node still contained")
 	}
 	if err := tr.DeleteSubtree(tr.Root()); err == nil {
 		t.Fatalf("deleting the root must fail")
+	}
+	if err := tr.DeleteSubtree(b); err == nil {
+		t.Fatalf("deleting a node outside the tree must fail")
 	}
 }
 
@@ -146,7 +173,7 @@ func TestDetachAttach(t *testing.T) {
 	if err := tr.Attach(tr.Root(), c); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Size() != 3 || c.Parent() != tr.Root() {
+	if tr.Size() != 3 || tr.Parents()[c] != tr.Root() {
 		t.Fatalf("attach failed")
 	}
 	if err := tr.Attach(tr.Root(), b); err == nil {
@@ -154,22 +181,38 @@ func TestDetachAttach(t *testing.T) {
 	}
 }
 
-func TestMarkModified(t *testing.T) {
+// TestInsertedCopiesOnlyRootPaths: a version shares every node off the
+// copied paths, so "modified" is "not the input's node": the change
+// point and its ancestors, and nothing else.
+func TestInsertedCopiesOnlyRootPaths(t *testing.T) {
 	tr := New("a")
 	b := tr.AddChild(tr.Root(), "b")
 	c := tr.AddChild(b, "c")
 	d := tr.AddChild(tr.Root(), "d")
-	tr.MarkModified(c)
-	if !c.Modified() || !b.Modified() || !tr.Root().Modified() {
-		t.Fatalf("ancestors not marked")
+	before := tr.XML()
+	ps := Paths{Nodes: []*Node{tr.Root(), b, c}, Parent: []int32{-1, 0, 1}, At: []int32{2}}
+	nt := tr.Inserted(ps, MustParse("<x/>"))
+	if tr.XML() != before || tr.Size() != 4 {
+		t.Fatalf("Inserted changed its input: %s", tr.XML())
 	}
-	if d.Modified() {
-		t.Fatalf("sibling wrongly marked")
+	if nt.Size() != 5 || nt.XML() != "<a><b><c><x/></c></b><d/></a>" {
+		t.Fatalf("Inserted result = %s", nt.XML())
 	}
-	tr.ClearModified()
-	for _, n := range tr.Nodes() {
-		if n.Modified() {
-			t.Fatalf("clear failed")
+	byID := map[int]*Node{}
+	for _, n := range nt.Nodes() {
+		byID[n.ID()] = n
+	}
+	if byID[c.ID()] == c || byID[b.ID()] == b || nt.Root() == tr.Root() {
+		t.Fatalf("change point or an ancestor is shared with the input")
+	}
+	if byID[d.ID()] != d {
+		t.Fatalf("sibling off the path was copied")
+	}
+	// No point: every node is the input's.
+	same := tr.Inserted(Paths{}, MustParse("<x/>"))
+	for _, n := range same.Nodes() {
+		if tr.NodeByID(n.ID()) != n {
+			t.Fatalf("node %d copied by an empty edit", n.ID())
 		}
 	}
 }

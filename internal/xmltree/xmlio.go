@@ -1,7 +1,6 @@
 package xmltree
 
 import (
-	"bufio"
 	"encoding/xml"
 	"errors"
 	"fmt"
@@ -158,73 +157,79 @@ func MustParse(s string) *Tree {
 // (code-sorted) order so that output is deterministic even though the model
 // is unordered. If indent is true, a pretty-printed form is produced.
 func (t *Tree) Write(w io.Writer, indent bool) error {
-	bw := bufio.NewWriter(w)
 	c := canonicalOrder(t.root)
+	defer c.release()
+	var out []byte
 	if indent {
-		c.writeXMLIndent(bw, 0, 0)
+		out = c.appendXMLIndent(c.tmp[:0], 0, 0)
 	} else {
-		c.write(bw, 0, xmlName)
+		out = c.appendXML(c.tmp[:0], 0, xmlName)
 	}
-	return bw.Flush()
+	c.tmp = out
+	_, err := w.Write(out)
+	return err
 }
 
 // XML returns the serialized form of the tree (children in canonical
 // order, no indentation).
-func (t *Tree) XML() string {
-	var b strings.Builder
-	canonicalOrder(t.root).write(&b, 0, xmlName)
-	return b.String()
+func (t *Tree) XML() string { return SubtreeXML(t.root) }
+
+// SubtreeXML returns the serialized form of the subtree rooted at n,
+// byte for byte what CloneSubtree(n).XML() gives, without the copy.
+func SubtreeXML(n *Node) string { return canonicalString(n, xmlName) }
+
+// canonicalString serializes n's subtree in canonical order, naming each
+// element by name(label), or by its label when name is nil.
+func canonicalString(n *Node, name func(string) string) string {
+	c := canonicalOrder(n)
+	defer c.release()
+	c.tmp = c.appendXML(c.tmp[:0], 0, name)
+	return string(c.tmp)
 }
 
-// textWriter is what the writers need: strings.Builder and bufio.Writer
-// both provide it, and bufio.Writer keeps the first error for Flush.
-type textWriter interface {
-	io.StringWriter
-	io.ByteWriter
-}
-
-// write serializes node i's subtree in canonical order, naming each
-// element by name(label).
-func (c *canonical) write(w textWriter, i int32, name func(string) string) {
-	n := name(*c.nodes[i].label)
-	w.WriteByte('<')
-	w.WriteString(n)
+// appendXML appends node i's subtree in canonical order, naming each
+// element by name(label), or by its label when name is nil.
+func (c *canonical) appendXML(b []byte, i int32, name func(string) string) []byte {
+	n := c.nodes[i].label
+	if name != nil {
+		n = name(n)
+	}
+	b = append(b, '<')
+	b = append(b, n...)
 	kids := c.children(i)
 	if len(kids) == 0 {
-		w.WriteString("/>")
-		return
+		return append(b, "/>"...)
 	}
-	w.WriteByte('>')
+	b = append(b, '>')
 	for _, k := range kids {
-		c.write(w, k, name)
+		b = c.appendXML(b, k, name)
 	}
-	w.WriteString("</")
-	w.WriteString(n)
-	w.WriteByte('>')
+	b = append(b, "</"...)
+	b = append(b, n...)
+	return append(b, '>')
 }
 
-func (c *canonical) writeXMLIndent(w textWriter, i int32, depth int) {
-	name := xmlName(*c.nodes[i].label)
+func (c *canonical) appendXMLIndent(b []byte, i int32, depth int) []byte {
+	name := xmlName(c.nodes[i].label)
 	for d := 0; d < depth; d++ {
-		w.WriteString("  ")
+		b = append(b, "  "...)
 	}
-	w.WriteByte('<')
-	w.WriteString(name)
+	b = append(b, '<')
+	b = append(b, name...)
 	kids := c.children(i)
 	if len(kids) == 0 {
-		w.WriteString("/>\n")
-		return
+		return append(b, "/>\n"...)
 	}
-	w.WriteString(">\n")
+	b = append(b, ">\n"...)
 	for _, k := range kids {
-		c.writeXMLIndent(w, k, depth+1)
+		b = c.appendXMLIndent(b, k, depth+1)
 	}
 	for d := 0; d < depth; d++ {
-		w.WriteString("  ")
+		b = append(b, "  "...)
 	}
-	w.WriteString("</")
-	w.WriteString(name)
-	w.WriteString(">\n")
+	b = append(b, "</"...)
+	b = append(b, name...)
+	return append(b, ">\n"...)
 }
 
 // SafeLabel reports whether a label survives XML serialization
@@ -257,8 +262,8 @@ func SafeLabel(label string) bool {
 func (t *Tree) UnsafeLabel() (string, bool) {
 	bad, found := "", false
 	t.Walk(func(n *Node) bool {
-		if !SafeLabel(*n.label) {
-			bad, found = *n.label, true
+		if !SafeLabel(n.label) {
+			bad, found = n.label, true
 			return false
 		}
 		return true

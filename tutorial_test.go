@@ -31,6 +31,12 @@ func TestTutorialClaims(t *testing.T) {
 	if err != nil || tr.Size() != 3 {
 		t.Fatalf("§2 size: %d %v", tr.Size(), err)
 	}
+	// §2: Apply returns a new version and leaves its input alone.
+	low := xmlconflict.Insert{P: xmlconflict.MustParseXPath("//book"), X: xmlconflict.MustParseXML("<low/>")}
+	after, points, err := low.Apply(tr)
+	if err != nil || len(points) != 2 || tr.Size() != 3 || after.Size() != 5 {
+		t.Fatalf("§2 Apply: %d points, sizes %d -> %d, %v", len(points), tr.Size(), after.Size(), err)
+	}
 
 	// §3: Figure 2 evaluates to the b node; linearity.
 	p := xmlconflict.MustParseXPath("a[.//c]/b[d][*//f]")

@@ -11,8 +11,11 @@
 //
 // Documents are unordered, unranked labeled trees (Tree, Node). Queries
 // are tree patterns (Pattern) compiled from XPath expressions by
-// ParseXPath. Operations are Read, Insert, and Delete with the mutating,
-// reference-based semantics of the XQuery update proposals and XJ.
+// ParseXPath. Operations are Read, Insert, and Delete with the
+// reference-based semantics of the XQuery update proposals and XJ: node
+// identities survive an update, and an update's Apply returns the new
+// version of the document, sharing every subtree it left alone, without
+// changing the tree it was given.
 //
 // # Conflict semantics
 //
