@@ -616,7 +616,9 @@ func (s *Store) CreateCtx(ctx context.Context, id, xml string) (Result, error) {
 	if l, bad := t.UnsafeLabel(); bad {
 		return Result{}, fmt.Errorf("store: doc %q: element label %q: %w", id, l, ErrUnsafeLabel)
 	}
-	digest := t.Digest()
+	// The tree is private until it is published, so its digest and its
+	// canonical XML are taken before the other operations must wait.
+	digest, canonical := t.Digest(), t.XML()
 
 	s.mu.Lock()
 	locked := true
@@ -631,7 +633,7 @@ func (s *Store) CreateCtx(ctx context.Context, id, xml string) (Result, error) {
 		return Result{}, fmt.Errorf("store: doc %q: %w", id, ErrExists)
 	}
 	lsn := s.lsn + 1
-	ack, err := s.append(record{LSN: lsn, Type: "create", Doc: id, XML: t.XML(), Digest: digest}, sp)
+	ack, err := s.append(record{LSN: lsn, Type: "create", Doc: id, XML: canonical, Digest: digest}, sp)
 	if err != nil {
 		unlock()
 		sp.Fail(err)

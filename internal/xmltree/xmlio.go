@@ -1,6 +1,7 @@
 package xmltree
 
 import (
+	"bytes"
 	"encoding/xml"
 	"errors"
 	"fmt"
@@ -85,7 +86,165 @@ func Parse(r io.Reader) (*Tree, error) {
 // ParseWithLimits is Parse under explicit resource bounds. Inputs that
 // exceed a bound fail with a *LimitError identifying the dimension; zero
 // fields of lim are unbounded.
+//
+// Input in the element-only form this module writes (tags alone, with
+// SafeLabel names) is read in one pass; everything else goes through
+// encoding/xml. Either way the result is the tree or the error that
+// encoding/xml gives.
 func ParseWithLimits(r io.Reader, lim ParseLimits) (*Tree, error) {
+	src, rest := readBounded(r, lim.MaxBytes)
+	if rest != nil {
+		return decodeXML(io.MultiReader(bytes.NewReader(src), rest), lim)
+	}
+	if t, err := parseElements(src, lim); err != errNotElementOnly {
+		return t, err
+	}
+	return decodeXML(bytes.NewReader(src), lim)
+}
+
+// readBounded reads r to its end, or to one byte past limit when limit > 0.
+// rest is nil when src is the whole input; otherwise the input runs past
+// limit or the read failed, and rest yields what r would have yielded
+// after src: its remaining bytes, or the read error.
+func readBounded(r io.Reader, limit int64) (src []byte, rest io.Reader) {
+	size := 512
+	if l, ok := r.(interface{ Len() int }); ok {
+		size = l.Len() + 1 // room to read the end without growing
+	}
+	if limit > 0 && limit < int64(size) {
+		size = int(limit) + 1
+	}
+	src = make([]byte, 0, size)
+	for {
+		if len(src) == cap(src) {
+			src = append(src, 0)[:len(src)]
+		}
+		room := src[len(src):cap(src)]
+		if left := limit - int64(len(src)); limit > 0 && left < int64(len(room))-1 {
+			room = room[:left+1]
+		}
+		n, err := r.Read(room)
+		src = src[:len(src)+n]
+		if limit > 0 && int64(len(src)) > limit {
+			// A read that also ended the input is no different: the
+			// limit fires at the byte past it, before rest is read.
+			return src, r
+		}
+		if err == io.EOF {
+			return src, nil
+		}
+		if err != nil {
+			return src, errReader{err}
+		}
+	}
+}
+
+// errReader replays a read error after the bytes read before it.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
+// errNotElementOnly is parseElements declining its input.
+var errNotElementOnly = errors.New("xmltree: parse: input outside the element-only form")
+
+// parseElements reads src in one pass when it is in the element-only
+// form: the tags <n>, </n> and <n/>, names in SafeLabel's alphabet, and
+// XML whitespace between tags and before > or />. It builds the tree
+// decodeXML builds, node by node in the same order, so it fails with
+// the same *LimitError at the same element. At the first byte outside
+// that form, or at a malformation (a mismatched end tag, a second root,
+// no root, EOF inside an element), it returns errNotElementOnly and
+// leaves src to decodeXML, which reports what it finds.
+func parseElements(src []byte, lim ParseLimits) (*Tree, error) {
+	var (
+		t     *Tree
+		stack = make([]*Node, 0, 16) // no allocation for shallow documents
+		nodes int
+	)
+	i := skipSpace(src, 0)
+	for i < len(src) {
+		if src[i] != '<' || t != nil && len(stack) == 0 {
+			return nil, errNotElementOnly
+		}
+		i++
+		end := i < len(src) && src[i] == '/'
+		if end {
+			i++
+		}
+		j := nameEnd(src, i)
+		if j == i {
+			return nil, errNotElementOnly
+		}
+		name := src[i:j]
+		i = skipSpace(src, j)
+		empty := !end && i < len(src) && src[i] == '/'
+		if empty {
+			i++
+		}
+		if i == len(src) || src[i] != '>' {
+			return nil, errNotElementOnly
+		}
+		i = skipSpace(src, i+1)
+		if end {
+			if len(stack) == 0 || stack[len(stack)-1].label != string(name) {
+				return nil, errNotElementOnly
+			}
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		if nodes++; lim.MaxNodes > 0 && nodes > lim.MaxNodes {
+			return nil, &LimitError{Limit: "nodes", Max: int64(lim.MaxNodes)}
+		}
+		if lim.MaxDepth > 0 && len(stack) >= lim.MaxDepth {
+			return nil, &LimitError{Limit: "depth", Max: int64(lim.MaxDepth)}
+		}
+		var n *Node
+		if t == nil {
+			t = New(string(name))
+			n = t.Root()
+		} else {
+			// Siblings often share a label; share its string too.
+			parent, label := stack[len(stack)-1], ""
+			if k := len(parent.children); k > 0 && parent.children[k-1].label == string(name) {
+				label = parent.children[k-1].label
+			} else {
+				label = string(name)
+			}
+			n = t.AddChild(parent, label)
+		}
+		if !empty {
+			stack = append(stack, n)
+		}
+	}
+	if t == nil || len(stack) != 0 {
+		return nil, errNotElementOnly
+	}
+	return t, nil
+}
+
+// skipSpace returns the index of the first byte at or after i that is
+// not XML whitespace.
+func skipSpace(src []byte, i int) int {
+	for i < len(src) && (src[i] == ' ' || src[i] == '\t' || src[i] == '\n' || src[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// nameEnd returns the end of the name in SafeLabel's alphabet that
+// starts at src[i], or i when none does.
+func nameEnd(src []byte, i int) int {
+	j := i
+	for j < len(src) && labelByte(src[j], j == i) {
+		j++
+	}
+	return j
+}
+
+// decodeXML parses r with encoding/xml's tokenizer: the path for every
+// input outside the element-only form, and the reference parseElements
+// is held to.
+func decodeXML(r io.Reader, lim ParseLimits) (*Tree, error) {
 	if lim.MaxBytes > 0 {
 		r = &limitReader{r: r, left: lim.MaxBytes, max: lim.MaxBytes}
 	}
@@ -244,16 +403,20 @@ func SafeLabel(label string) bool {
 	if label == "" {
 		return false
 	}
-	for i, r := range label {
-		if r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r == '_' {
-			continue
+	for i := 0; i < len(label); i++ {
+		if !labelByte(label[i], i == 0) {
+			return false
 		}
-		if i > 0 && (r >= '0' && r <= '9' || r == '-' || r == '.') {
-			continue
-		}
-		return false
 	}
 	return true
+}
+
+// labelByte reports whether c belongs to SafeLabel's alphabet, as a
+// label's first byte when first is set. Bytes of non-ASCII characters
+// never do.
+func labelByte(c byte, first bool) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_' ||
+		!first && (c >= '0' && c <= '9' || c == '-' || c == '.')
 }
 
 // UnsafeLabel returns some label in t that SafeLabel rejects — one the

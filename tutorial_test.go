@@ -31,6 +31,12 @@ func TestTutorialClaims(t *testing.T) {
 	if err != nil || tr.Size() != 3 {
 		t.Fatalf("§2 size: %d %v", tr.Size(), err)
 	}
+	// §2: element-only input (the one-pass reader) and the same elements
+	// with an attribute and text (encoding/xml) build the same tree.
+	bare, err := xmlconflict.ParseXMLString("<inv><book/>\n<book/></inv>")
+	if err != nil || bare.XML() != tr.XML() || bare.Root().Children()[1].ID() != tr.Root().Children()[1].ID() {
+		t.Fatalf("§2 element-only parse: %s vs %s, %v", bare.XML(), tr.XML(), err)
+	}
 	// §2: Apply returns a new version and leaves its input alone.
 	low := xmlconflict.Insert{P: xmlconflict.MustParseXPath("//book"), X: xmlconflict.MustParseXML("<low/>")}
 	after, points, err := low.Apply(tr)
