@@ -21,8 +21,10 @@ import (
 // the answer and fences itself. Responses are decoded for both 200
 // and 409, so fencing is data, not an opaque transport error.
 
-// maxReplBody bounds a replication request body; frames and states are
-// already capped by the store's 64 MiB frame limit.
+// maxReplBody bounds a replication body, request or response. A page
+// of frames always carries its first frame, which the store's 64 MiB
+// record limit caps; a state-transfer chunk arrives in a pull response
+// and is smaller still.
 const maxReplBody = 96 << 20
 
 // appendRequest ships committed WAL frames for one shard.
@@ -139,7 +141,6 @@ func (n *Node) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/repl/heartbeat", n.handleHeartbeat)
 	mux.HandleFunc("GET /v1/repl/since/{shard}/{after}", n.handleSince)
 	mux.HandleFunc("GET /v1/repl/xfer/{shard}", n.handleXferGet)
-	mux.HandleFunc("POST /v1/repl/xfer", n.handleXferPush)
 	mux.HandleFunc("POST /v1/repl/members", n.handleMembers)
 	mux.HandleFunc("POST /v1/repl/merge", n.handleMerge)
 	mux.HandleFunc("GET /v1/repl/status", n.handleStatus)

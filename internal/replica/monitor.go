@@ -553,7 +553,7 @@ func (n *Node) pullSince(ctx context.Context, p Peer, shardIdx int, st *store.St
 			return err
 		}
 		if resp.Reset {
-			return n.pullState(ctx, p, shardIdx, st)
+			return n.pullState(ctx, p, shardIdx, st, false)
 		}
 		if len(resp.Frames) == 0 {
 			return nil
@@ -595,7 +595,7 @@ func (n *Node) resync() {
 	ctx, cancel := context.WithTimeout(context.Background(), n.opts.FailoverAfter)
 	defer cancel()
 	for shardIdx := 0; shardIdx < n.router.Shards(); shardIdx++ {
-		if err := n.pullState(ctx, primary, shardIdx, n.router.Store(shardIdx)); err != nil {
+		if err := n.pullState(ctx, primary, shardIdx, n.router.Store(shardIdx), true); err != nil {
 			n.m.Add("repl.resync_errors", 1)
 			return // next tick resumes from the progress record
 		}

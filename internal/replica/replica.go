@@ -214,17 +214,11 @@ func (e *AckError) Error() string {
 }
 
 // peerShard serializes shipping to one (peer, shard) stream and tracks
-// the highest LSN that peer has durably acknowledged for the shard,
-// plus the in-flight state-transfer resume mark: the exporter session
-// and offset the last push round reached, so a sender-side retry
-// (shipTo's backoff loop re-entering pushState) resumes the receiver's
-// durable progress instead of restarting the transfer from byte zero.
-// All fields are guarded by mu, held across the whole ship attempt.
+// the highest LSN that peer has durably acknowledged for the shard.
+// acked is guarded by mu, held across the whole ship attempt.
 type peerShard struct {
-	mu          sync.Mutex
-	acked       uint64
-	xferSession string
-	xferOffset  int64
+	mu    sync.Mutex
+	acked uint64
 }
 
 // resyncMark records that one shard's state at or below LSN was
@@ -870,17 +864,13 @@ func (n *Node) shipTo(ctx context.Context, p Peer, epoch uint64, shardIdx int, l
 			if err := faultinject.Fire("repl.ship"); err != nil {
 				return err
 			}
-			frames, _, ok := st.FramesSincePage(ps.acked, maxSinceFrames, maxSinceBytes)
-			if !ok {
-				// The buffer no longer reaches this peer: transfer the
-				// whole shard state, chunk by resumable chunk.
-				acked, err := n.pushState(ctx, p, epoch, shardIdx, st, ps)
-				if err != nil {
-					return err
-				}
-				n.m.Add("repl.state_resets", 1)
-				ps.acked = acked
-				return nil
+			// Past the buffer's reach, FramesSincePage still returns the
+			// oldest retained page: a peer holding its predecessor verifies
+			// the overlap and extends it, and one below it answers with a
+			// gap until its own heartbeat-driven catch-up pulls the state.
+			frames, _, _ := st.FramesSincePage(ps.acked, maxSinceFrames, maxSinceBytes)
+			if len(frames) == 0 {
+				return fmt.Errorf("replica: shard %d retains no frames to ship to %s", shardIdx, p.ID)
 			}
 			var resp appendResponse
 			if err := n.postPeer(ctx, p, "/v1/repl/append", appendRequest{Epoch: epoch, Primary: n.self.ID, Shard: shardIdx, Frames: frames}, &resp); err != nil {
@@ -894,12 +884,17 @@ func (n *Node) shipTo(ctx context.Context, p Peer, epoch uint64, shardIdx int, l
 				// off rather than hammering it.
 				return fmt.Errorf("replica: peer %s shard %d is resyncing", p.ID, shardIdx)
 			}
-			// The response LSN is the peer's verified watermark — the
-			// highest shipped frame it positively holds (applied, or proven
-			// byte-identical to its own log). On a gap it rewinds our view
-			// and the next attempt re-ships from there; it never claims
-			// frames the peer did not verify, so a diverged peer cannot be
-			// counted toward an ack quorum.
+			// A response LSN inside the page is the peer's verified
+			// watermark: the highest shipped frame it positively holds
+			// (applied, proven byte-identical to its own log, or covered by
+			// a state import from this primary). One below the page is a
+			// gap: the peer verified nothing, and its position may lower
+			// our view but never raise it, or frames the peer never verified
+			// would count toward an ack quorum. A gap that lowers nothing
+			// leaves the peer to its state pull; back off meanwhile.
+			if resp.LSN < frames[0].LSN && resp.LSN >= ps.acked {
+				return fmt.Errorf("replica: peer %s shard %d at lsn %d is below the retained frames", p.ID, shardIdx, resp.LSN)
+			}
 			ps.acked = resp.LSN
 			return nil
 		}()

@@ -235,17 +235,18 @@ func TestShippingConvergesAtAckAll(t *testing.T) {
 	}
 }
 
-// TestPushStateCatchesUpPartitionedBackup drives state transfer's push
-// path: a backup cut off while the primary's frame buffer rolled past
-// it is brought back by the primary pushing its snapshot file, chunk
-// by chunk, as soon as the partition heals.
-func TestPushStateCatchesUpPartitionedBackup(t *testing.T) {
+// TestPullStateCatchesUpPartitionedBackup drives state transfer's one
+// mover: a backup cut off while the primary's frame buffer rolled past
+// it pulls the primary's snapshot file, chunk by chunk, once the
+// partition heals, and the primary's write waits for that pull rather
+// than pushing state itself.
+func TestPullStateCatchesUpPartitionedBackup(t *testing.T) {
 	so := shardOptsForTest()
 	so.Store.ReplBuffer = 4
 	c := newClusterWith(t, 3, so, func(id string, o *Options) {
 		o.Ack = AckAll
-		// Each ship gets this budget: room for the whole push on a slow
-		// disk, and no elections during the short partition.
+		// Each ship gets this budget: room for the backup's whole pull on
+		// a slow disk, and no elections during the short partition.
 		o.FailoverAfter = time.Second
 	})
 	ctx := context.Background()
@@ -269,8 +270,70 @@ func TestPushStateCatchesUpPartitionedBackup(t *testing.T) {
 		got, ok := c.digest("c", "d")
 		return ok && got == want
 	})
-	if n := a.m.Snapshot().Counter("repl.xfer_pushes"); n == 0 {
-		t.Fatal("backup converged without a state push")
+	if n := c.nodes["c"].m.Snapshot().Counter("repl.state_imports"); n == 0 {
+		t.Fatal("backup converged without pulling the state")
+	}
+}
+
+// TestFailoverMovesNoStateToCaughtUpBackup: a new primary's streams
+// start knowing nothing of its peers, and its frame buffer no longer
+// reaches LSN 0. A backup that already holds the whole log verifies the
+// oldest retained page against its own and extends it; it must not be
+// sent (or pull) the whole shard, and must never be judged diverged.
+func TestFailoverMovesNoStateToCaughtUpBackup(t *testing.T) {
+	so := shard.Options{Shards: 1}
+	so.Store.ReplBuffer = 8
+	c := newClusterWith(t, 3, so, nil)
+	ctx := context.Background()
+	a := c.nodes["a"]
+	if _, err := a.CreateCtx(ctx, "d", "<r/>"); err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	for i := 0; i < 40; i++ {
+		if _, err := a.SubmitCtx(ctx, "d", insertOp("/r", fmt.Sprintf("<n i=\"%d\"/>", i))); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	want, _ := c.digest("a", "d")
+	c.waitFor(5*time.Second, "backups to converge before the failover", func() bool {
+		for _, id := range []string{"b", "c"} {
+			if got, ok := c.digest(id, "d"); !ok || got != want {
+				return false
+			}
+		}
+		return true
+	})
+	imports := map[string]int64{}
+	for _, id := range []string{"b", "c"} {
+		imports[id] = c.nodes[id].m.Snapshot().Counter("repl.state_imports")
+	}
+
+	c.kill("a")
+	c.waitFor(5*time.Second, "a backup to promote", func() bool {
+		p := c.currentPrimary()
+		return p != nil && p.Epoch() > 1
+	})
+	p := c.currentPrimary()
+	other := "b"
+	if p.Self().ID == "b" {
+		other = "c"
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := p.SubmitCtx(ctx, "d", insertOp("/r", fmt.Sprintf("<after i=\"%d\"/>", i))); err != nil {
+			t.Fatalf("write %d on new primary %s: %v", i, p.Self().ID, err)
+		}
+	}
+	want, _ = c.digest(p.Self().ID, "d")
+	c.waitFor(5*time.Second, "the other backup to converge", func() bool {
+		got, ok := c.digest(other, "d")
+		return ok && got == want
+	})
+	snap := c.nodes[other].m.Snapshot()
+	if n := snap.Counter("repl.state_imports"); n != imports[other] {
+		t.Fatalf("backup %s imported state %d times across the failover, want none", other, n-imports[other])
+	}
+	if n := snap.Counter("repl.diverged"); n != 0 {
+		t.Fatalf("backup %s went diverged %d times", other, n)
 	}
 }
 

@@ -30,8 +30,8 @@ type ReplFrame struct {
 
 // ErrReplGap reports that ApplyFrames was handed a frame that does not
 // extend the local log contiguously: the shipper must back up and
-// re-send from the receiver's actual LSN (or fall back to full-state
-// transfer).
+// re-send from the receiver's actual LSN (or, past its frame buffer,
+// wait for the receiver to pull full state).
 var ErrReplGap = errors.New("store: replication frame gap")
 
 // ErrReplDiverged reports that a shipped frame overlaps the local log
@@ -47,9 +47,6 @@ var ErrReplDiverged = errors.New("store: replicated frame diverges from the loca
 // buffer, the oldest frames fall off and lagging peers must catch up by
 // full-state transfer instead.
 func (s *Store) pushReplFrame(lsn uint64, payload []byte) {
-	if s.opts.ReplBuffer <= 0 {
-		return
-	}
 	cp := make([]byte, len(payload))
 	copy(cp, payload)
 	s.replLog = append(s.replLog, ReplFrame{
@@ -62,9 +59,9 @@ func (s *Store) pushReplFrame(lsn uint64, payload []byte) {
 
 // FramesSince returns the committed frames with LSN > after, oldest
 // first. ok is false when the bounded frame log no longer reaches back
-// to after+1 — the caller must fall back to full-state transfer. An
-// up-to-date peer (after >= current LSN) gets an empty slice and
-// ok=true.
+// to after+1 — the reader must fall back to full-state transfer — and
+// frames then start at the oldest retained frame instead. An up-to-date
+// peer (after >= current LSN) gets an empty slice and ok=true.
 func (s *Store) FramesSince(after uint64) (frames []ReplFrame, ok bool) {
 	frames, _, ok = s.FramesSincePage(after, 0, 0)
 	return frames, ok
@@ -81,9 +78,7 @@ func (s *Store) FramesSincePage(after uint64, maxFrames, maxBytes int) (frames [
 	if after >= s.lsn {
 		return nil, false, true
 	}
-	if len(s.replLog) == 0 || s.replLog[0].LSN > after+1 {
-		return nil, false, false
-	}
+	ok = len(s.replLog) > 0 && s.replLog[0].LSN <= after+1
 	bytes := 0
 	for _, f := range s.replLog {
 		if f.LSN <= after {
@@ -92,12 +87,12 @@ func (s *Store) FramesSincePage(after uint64, maxFrames, maxBytes int) (frames [
 		if len(frames) > 0 &&
 			((maxFrames > 0 && len(frames) >= maxFrames) ||
 				(maxBytes > 0 && bytes+len(f.Payload) > maxBytes)) {
-			return frames, true, true
+			return frames, true, ok
 		}
 		frames = append(frames, f)
 		bytes += len(f.Payload)
 	}
-	return frames, false, true
+	return frames, false, ok
 }
 
 // ApplyFrames applies replicated frames to this store in order and

@@ -422,7 +422,8 @@ func TestXferInstallSurvivesReopenOverNewerSnapshots(t *testing.T) {
 	if deposed.LSN() != 10 {
 		t.Fatalf("deposed lsn %d, want 10", deposed.LSN())
 	}
-	if _, err := pumpXfer(t, primary, deposed, 0); err != nil {
+	// The deposed store is ahead, so only a replacing import installs.
+	if _, err := pumpXferFrom(t, primary, deposed, 0, "", 0, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := deposed.Close(); err != nil {

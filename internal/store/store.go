@@ -63,8 +63,8 @@ type Options struct {
 	Limits xmltree.ParseLimits
 	// ReplBuffer is how many committed WAL frames stay buffered in
 	// memory for replication shipping (FramesSince); peers that fall
-	// further behind catch up by full-state transfer. 0 means the
-	// default 1024; negative disables the buffer entirely.
+	// further behind catch up by full-state transfer. 0 or less means
+	// the default 1024.
 	ReplBuffer int
 	// Metrics receives the store.* counters and timers; nil gets a
 	// private registry.
@@ -81,7 +81,7 @@ func (o Options) withDefaults() Options {
 	if o.KeepSnapshots <= 0 {
 		o.KeepSnapshots = 2
 	}
-	if o.ReplBuffer == 0 {
+	if o.ReplBuffer <= 0 {
 		o.ReplBuffer = 1024
 	}
 	if o.Limits == (xmltree.ParseLimits{}) {

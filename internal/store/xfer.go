@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -23,8 +24,10 @@ import (
 // re-connected) importer resumes at the recorded offset instead of
 // restarting. When the last byte lands, loadSnapshot — the loader
 // recovery runs — verifies the part file, and a rename publishes it as
-// the store's newest snapshot. Until that rename, the only trace of
-// the transfer is the part file recovery ignores.
+// the store's newest snapshot, unless the session lies below the
+// store's own LSN and the caller is not replacing the store. Until that
+// rename, the only trace of the transfer is the part file recovery
+// ignores.
 
 const (
 	// xferPartName accumulates verified chunk bytes in the store dir.
@@ -109,8 +112,7 @@ func (s *Store) ExportChunk(session string, offset int64, max int) (XferChunk, e
 // names no such file, it opens a fresh session at the store's current
 // LSN, first taking a snapshot if that LSN has no readable one. Only a
 // snapshot at the current LSN is ever served: a receiver may already
-// hold writes past an older one, and installing it would roll them
-// back.
+// hold writes past an older one, and would refuse to install it.
 func (s *Store) openXferSession(session string) (*os.File, string, uint64, error) {
 	var lsn uint64
 	if _, err := fmt.Sscanf(session, "%16x", &lsn); err == nil {
@@ -169,6 +171,12 @@ func (s *Store) XferProgress() (session string, offset int64, ok bool) {
 	return p.Session, p.Offset, true
 }
 
+// ErrXferBehind reports a completed transfer session whose snapshot
+// LSN is below the importer's own: installing it would roll back
+// frames applied since the session opened. The progress record is
+// retired, so the next pull opens a fresh session.
+var ErrXferBehind = errors.New("store: xfer session is below the local lsn")
+
 // ImportChunk folds one received chunk into the in-progress transfer
 // and returns the next offset the sender should ship. A session the
 // importer has never seen restarts the part file (only from offset
@@ -177,7 +185,11 @@ func (s *Store) XferProgress() (session string, offset int64, ok bool) {
 // rewinds or fast-forwards the sender. When the final byte lands the
 // part file is installed (see installXferLocked) and the progress
 // record is retired. complete is true only after that install.
-func (s *Store) ImportChunk(ctx context.Context, c XferChunk) (next int64, complete bool, err error) {
+// replace says the caller is replacing the store wholesale (a dirty
+// replica discarding an unreplicated tail); only then may the install
+// land below the store's own LSN, otherwise it fails with
+// ErrXferBehind.
+func (s *Store) ImportChunk(ctx context.Context, c XferChunk, replace bool) (next int64, complete bool, err error) {
 	if err := faultinject.Fire("repl.xfer.chunk"); err != nil {
 		return 0, false, err
 	}
@@ -229,7 +241,7 @@ func (s *Store) ImportChunk(ctx context.Context, c XferChunk) (next int64, compl
 	if p.Offset < p.Total {
 		return p.Offset, false, nil
 	}
-	err = s.installXferLocked(ctx, p.LSN)
+	err = s.installXferLocked(ctx, p.LSN, replace)
 	s.clearXferLocked()
 	if err != nil {
 		return 0, false, err
@@ -243,13 +255,15 @@ func (s *Store) ImportChunk(ctx context.Context, c XferChunk) (next int64, compl
 // for frame shipping, and the reset path for a fenced ex-primary
 // rejoining under a newer epoch. loadSnapshot verifies the file exactly
 // as recovery would; the rename to snap-<lsn>.xcsnap is the commit
-// point. A failure before it leaves the store serving its old state.
-// After it, the WAL, whose history no longer describes this state, is
-// reset and every snapshot past lsn removed (recovery loads the newest
-// one); a failure there fail-stops the store, since memory and disk
-// would otherwise disagree about acknowledged state. The caller holds
-// xferMu.
-func (s *Store) installXferLocked(ctx context.Context, lsn uint64) error {
+// point. A failure before it leaves the store serving its old state,
+// and so does an lsn below the store's own unless replace is set: the
+// check runs under s.mu, so no frame applied meanwhile is rolled back.
+// After the rename, the WAL, whose history no longer describes this
+// state, is reset and every snapshot past lsn removed (recovery loads
+// the newest one); a failure there fail-stops the store, since memory
+// and disk would otherwise disagree about acknowledged state. The
+// caller holds xferMu.
+func (s *Store) installXferLocked(ctx context.Context, lsn uint64, replace bool) error {
 	sp := span.FromContext(ctx).Child("store.repl.import")
 	defer sp.End()
 	sp.Set("lsn", lsn)
@@ -272,6 +286,11 @@ func (s *Store) installXferLocked(ctx context.Context, lsn uint64) error {
 	if s.closed {
 		sp.Fail(ErrClosed)
 		return ErrClosed
+	}
+	if !replace && lsn < s.lsn {
+		err := fmt.Errorf("%w: session at lsn %d, store at %d", ErrXferBehind, lsn, s.lsn)
+		sp.Fail(err)
+		return err
 	}
 	if err := os.Rename(part, filepath.Join(s.dir, snapName(lsn))); err != nil {
 		err = fmt.Errorf("store: xfer publish snapshot: %w", err)

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -40,17 +41,21 @@ func seedXferSource(t *testing.T) *Store {
 	return src
 }
 
-// pumpXfer runs the receiver-steered transfer loop the replica layer
-// runs: resume from the destination's durable progress, follow the
-// offsets the importer returns, asking for chunk-byte chunks (0 = the
-// exporter's default). Returns the chunk count on success; the first
-// ImportChunk error stops the pump and is returned (the "crash").
+// pumpXfer runs the receiver-steered transfer loop the replica layer's
+// catch-up pull runs: resume from the destination's durable progress,
+// follow the offsets the importer returns, asking for chunk-byte chunks
+// (0 = the exporter's default). Returns the chunk count on success; the
+// first ImportChunk error stops the pump and is returned (the "crash").
 func pumpXfer(t *testing.T, src, dst *Store, chunk int) (int, error) {
 	t.Helper()
-	session, offset := "", int64(0)
-	if s, o, ok := dst.XferProgress(); ok {
-		session, offset = s, o
-	}
+	session, offset, _ := dst.XferProgress()
+	return pumpXferFrom(t, src, dst, chunk, session, offset, false)
+}
+
+// pumpXferFrom is pumpXfer for a mover that starts at its own
+// (session, offset) and passes replace to every ImportChunk.
+func pumpXferFrom(t *testing.T, src, dst *Store, chunk int, session string, offset int64, replace bool) (int, error) {
+	t.Helper()
 	chunks := 0
 	for {
 		c, err := src.ExportChunk(session, offset, chunk)
@@ -59,7 +64,7 @@ func pumpXfer(t *testing.T, src, dst *Store, chunk int) (int, error) {
 		}
 		session = c.Session
 		chunks++
-		next, complete, err := dst.ImportChunk(context.Background(), c)
+		next, complete, err := dst.ImportChunk(context.Background(), c, replace)
 		if err != nil {
 			return chunks, err
 		}
@@ -231,18 +236,83 @@ func TestXferWrongOffsetSteersSender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if next, complete, err := dst.ImportChunk(ctx, mid); err != nil || complete || next != 0 {
+	if next, complete, err := dst.ImportChunk(ctx, mid, false); err != nil || complete || next != 0 {
 		t.Fatalf("mid-body chunk on fresh importer: next=%d complete=%v err=%v, want 0 false nil", next, complete, err)
 	}
 	// Start properly, then replay the same first chunk: the importer
 	// answers with the offset after it, no duplicate append.
-	next, _, err := dst.ImportChunk(ctx, c)
+	next, _, err := dst.ImportChunk(ctx, c, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, complete, err := dst.ImportChunk(ctx, c)
+	again, complete, err := dst.ImportChunk(ctx, c, false)
 	if err != nil || complete || again != next {
 		t.Fatalf("replayed chunk: next=%d complete=%v err=%v, want steer to %d", again, complete, err, next)
+	}
+}
+
+// TestXferLateMoverNeverRollsBackAppliedFrames: two movers feed one
+// importer's progress record. One finishes the session and frames past
+// its LSN apply; the other, resuming at its old offset, then lands the
+// last chunk of the same session again. That install would put the
+// store back at the session's LSN, so it must be refused, leaving the
+// applied frames in place and no progress record behind.
+func TestXferLateMoverNeverRollsBackAppliedFrames(t *testing.T) {
+	src := seedXferSource(t)
+	dst, err := Open(t.TempDir(), Options{Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	ctx := context.Background()
+
+	// The late mover ships the first chunk, then stalls.
+	first, err := src.ExportChunk("", 0, xferTestChunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, _, err := dst.ImportChunk(ctx, first, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The other mover finishes the same session.
+	if _, err := pumpXfer(t, src, dst, xferTestChunk); err != nil {
+		t.Fatalf("pump: %v", err)
+	}
+	installed := dst.LSN()
+	if installed != first.LSN {
+		t.Fatalf("installed lsn %d, want the session's %d", installed, first.LSN)
+	}
+
+	// Three frames apply past the install.
+	for i := 0; i < 3; i++ {
+		if _, err := src.Submit("doc-00", Op{Kind: "insert", Pattern: "/r", X: "<late/>"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frames, ok := src.FramesSince(installed)
+	if !ok {
+		t.Fatal("frames past the install fell off the buffer")
+	}
+	applied, err := dst.ApplyFrames(ctx, frames, 0)
+	if err != nil || applied != installed+3 {
+		t.Fatalf("ApplyFrames: lsn %d err %v, want %d", applied, err, installed+3)
+	}
+
+	// The late mover resumes its stale session at its old offset.
+	_, err = pumpXferFrom(t, src, dst, xferTestChunk, first.Session, next, false)
+	if !errors.Is(err, ErrXferBehind) {
+		t.Fatalf("stale session install: %v, want ErrXferBehind", err)
+	}
+	if got := dst.LSN(); got != applied {
+		t.Fatalf("lsn %d after the refused install, want %d (rolled back)", got, applied)
+	}
+	if _, _, ok := dst.XferProgress(); ok {
+		t.Fatal("refused install left a progress record behind")
+	}
+	want, _ := src.Get("doc-00")
+	if got, err := dst.Get("doc-00"); err != nil || got.Digest != want.Digest {
+		t.Fatalf("doc-00 after the refused install: %v %v, want the applied frames' digest", got.Digest, err)
 	}
 }
 
@@ -465,7 +535,7 @@ func importBody(s *Store, lsn uint64, body []byte) error {
 	_, _, err := s.ImportChunk(context.Background(), XferChunk{
 		Session: "test", LSN: lsn, Total: int64(len(body)),
 		CRC: crc32.Checksum(body, castagnoli), Data: body, Last: true,
-	})
+	}, false)
 	return err
 }
 
