@@ -922,8 +922,7 @@ func run(args []string) int {
 	traceDir := fs.String("trace-dir", "", "dump captured request traces (slow/error/degraded/conflict) as JSON into this directory")
 	traceSlow := fs.Duration("trace-slow", 0, "latency above which a request trace is always kept (0 = recorder default)")
 	storeDir := fs.String("store-dir", "", "durable document store directory (empty = /v1/docs disabled)")
-	storeFsync := fs.String("store-fsync", "always", "store fsync policy: always, group, or never")
-	storeFsyncInterval := fs.Duration("store-fsync-interval", 5*time.Millisecond, "group-commit fsync cadence (with -store-fsync=group)")
+	storeFsync := fs.String("store-fsync", "always", "store fsync policy: always or never")
 	storeSnapshotEvery := fs.Int("store-snapshot-every", 1024, "auto-snapshot (and truncate the WAL) after this many records; 0 = manual only")
 	shards := fs.Int("shards", 1, "partition the document space across this many store shards (each with its own WAL, snapshots, and recovery)")
 	tenantInflight := fs.Int("tenant-inflight", 0, "max in-flight /v1/docs operations per tenant before 429 (0 = unlimited)")
@@ -969,7 +968,6 @@ func run(args []string) int {
 			Shards: *shards,
 			Store: store.Options{
 				Fsync:         policy,
-				FsyncInterval: *storeFsyncInterval,
 				SnapshotEvery: *storeSnapshotEvery,
 				Metrics:       s.metrics, // store.* counters ride /metrics, labeled per shard
 			},
@@ -1022,7 +1020,6 @@ func run(args []string) int {
 		s.tenants = shard.NewTenantLimiter(*tenantInflight, s.metrics)
 		s.identity["store"] = "on"
 		s.identity["store_fsync"] = policy.String()
-		s.identity["store_fsync_interval"] = storeFsyncInterval.String()
 		s.identity["store_snapshot_every"] = strconv.Itoa(*storeSnapshotEvery)
 		s.identity["store_shards"] = strconv.Itoa(s.store.Shards())
 		s.identity["tenant_inflight"] = strconv.Itoa(*tenantInflight)

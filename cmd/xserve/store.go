@@ -306,10 +306,8 @@ func parseFsyncPolicy(name string) (store.FsyncPolicy, error) {
 	switch name {
 	case "", "always":
 		return store.FsyncAlways, nil
-	case "group":
-		return store.FsyncGroup, nil
 	case "never":
 		return store.FsyncNever, nil
 	}
-	return 0, fmt.Errorf("unknown fsync policy %q (want always, group, or never)", name)
+	return 0, fmt.Errorf("unknown fsync policy %q (want always or never)", name)
 }

@@ -237,6 +237,17 @@ func TestDocsMetricsExposed(t *testing.T) {
 	}
 }
 
+// TestStoreFsyncFlag: -store-fsync takes always or never. Any other
+// value, the deleted group policy included, is a usage error that
+// exits 2 before the store opens.
+func TestStoreFsyncFlag(t *testing.T) {
+	for _, bad := range []string{"group", "sometimes"} {
+		if code := run([]string{"-store-dir", t.TempDir(), "-store-fsync", bad}); code != 2 {
+			t.Errorf("-store-fsync %s: exit %d, want 2", bad, code)
+		}
+	}
+}
+
 // TestChaosStoreKillMidCommit is the serving-path half of the
 // kill-mid-commit drill: a crash injected on the WAL append path fails
 // that one request with the 500 envelope, fail-stops the store (503

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"xmlconflict/internal/store"
 	"xmlconflict/internal/telemetry"
@@ -255,31 +254,20 @@ func TestPerShardMetricsLabeled(t *testing.T) {
 	}
 }
 
-// TestGroupFlushTimerPerShard: the group-commit flush runs outside every
-// request trace, so it keeps a hand-placed timer, recorded under the
-// flushing shard's label. Under FsyncAlways the fsync is timed by the
-// request's store.fsync span alone, so the registry gets no fsync timer
-// and no fsync is counted twice.
-func TestGroupFlushTimerPerShard(t *testing.T) {
-	for _, tc := range []struct {
-		policy store.FsyncPolicy
-		timed  bool
-	}{{store.FsyncGroup, true}, {store.FsyncAlways, false}} {
-		m := telemetry.New()
-		r := openTest(t, t.TempDir(), Options{Shards: 2, Store: store.Options{
-			Metrics: m, Fsync: tc.policy, FsyncInterval: time.Millisecond,
-		}})
-		if _, err := r.CreateCtx(context.Background(), docOnShard(t, r, 1), "<a/>"); err != nil {
+// TestFsyncTimedBySpansOnly: every fsync is issued by a waiting request
+// and timed by that request's store.fsync span, so no shard registry
+// holds a hand-placed store.fsync timer and no fsync is counted twice.
+func TestFsyncTimedBySpansOnly(t *testing.T) {
+	m := telemetry.New()
+	r := openTest(t, t.TempDir(), Options{Shards: 2, Store: store.Options{Metrics: m, Fsync: store.FsyncAlways}})
+	for i := 0; i < 2; i++ {
+		if _, err := r.CreateCtx(context.Background(), docOnShard(t, r, i), "<a/>"); err != nil {
 			t.Fatal(err)
 		}
-		timers := m.Snapshot().Timers
-		if got := timers["store.fsync|shard=1"].Count; (got >= 1) != tc.timed {
-			t.Errorf("%v: shard 1 store.fsync timer count %d, want timed=%v", tc.policy, got, tc.timed)
-		}
-		for _, key := range []string{"store.fsync|shard=0", "store.fsync"} {
-			if ts, ok := timers[key]; ok {
-				t.Errorf("%v: %s timer recorded %d fsyncs; only the writing shard's flush is timed", tc.policy, key, ts.Count)
-			}
+	}
+	for key, ts := range m.Snapshot().Timers {
+		if strings.HasPrefix(key, "store.fsync") {
+			t.Errorf("%s timer recorded %d fsyncs; only spans time the fsync", key, ts.Count)
 		}
 	}
 }

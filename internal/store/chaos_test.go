@@ -1,7 +1,11 @@
 package store
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -93,33 +97,6 @@ func TestChaosKillMidAppend(t *testing.T) {
 	}
 }
 
-func TestChaosFsyncErrorRollsBack(t *testing.T) {
-	t.Cleanup(faultinject.Reset)
-	dir := t.TempDir()
-	s := openTest(t, dir, Options{Fsync: FsyncAlways})
-	mustCreate(t, s, "d", "<a/>")
-	acked := mustSubmit(t, s, "d", Op{Kind: "insert", Pattern: "/a", X: "<x/>"})
-
-	// A failed fsync under FsyncAlways is a failed commit: the record
-	// is rolled out of the file and the in-memory state is untouched.
-	faultinject.Arm("store.fsync", faultinject.Fault{Kind: faultinject.KindError, Times: 1})
-	_, err := s.Submit("d", Op{Kind: "insert", Pattern: "/a", X: "<y/>"})
-	var fe *faultinject.Error
-	if !errors.As(err, &fe) {
-		t.Fatalf("want injected fsync error, got %v", err)
-	}
-	info, _ := s.Get("d")
-	if info.Digest != acked.Digest || info.LSN != acked.LSN {
-		t.Fatalf("state changed on failed fsync: %+v", info)
-	}
-	faultinject.Reset()
-
-	// The same store retries successfully, and the retry is durable.
-	retried := mustSubmit(t, s, "d", Op{Kind: "insert", Pattern: "/a", X: "<y/>"})
-	s.Close()
-	reopenAndCheck(t, dir, "d", retried)
-}
-
 func TestChaosKillMidSnapshot(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	dir := t.TempDir()
@@ -186,28 +163,32 @@ func TestChaosKillEverySite(t *testing.T) {
 	reopenAndCheck(t, dir, "d", acked)
 }
 
-// TestChaosGroupCommitAckFailureFailsStop: under FsyncGroup, the commit
-// is published to in-memory state before its ack resolves. If the group
-// fsync fails, the client is told the commit was lost — so the store
-// must fail-stop rather than keep serving state it disclaimed.
-func TestChaosGroupCommitAckFailureFailsStop(t *testing.T) {
+// TestChaosFsyncErrorFailsStop: a commit is published to in-memory
+// state before the fsync that acknowledges it, and the fsync may cover
+// other published commits too, so a failed fsync cannot be rolled back
+// record by record. The commit fails, and the store fail-stops rather
+// than keep serving state it cannot vouch for.
+func TestChaosFsyncErrorFailsStop(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	dir := t.TempDir()
-	s := openTest(t, dir, Options{Fsync: FsyncGroup, FsyncInterval: time.Millisecond})
-	acked := mustCreate(t, s, "d", "<a/>")
+	s := openTest(t, dir, Options{Fsync: FsyncAlways})
+	mustCreate(t, s, "d", "<a/>")
+	acked := mustSubmit(t, s, "d", Op{Kind: "insert", Pattern: "/a", X: "<x/>"})
 
 	faultinject.Arm("store.fsync", faultinject.Fault{Kind: faultinject.KindError, Times: 1})
-	if _, err := s.Submit("d", Op{Kind: "insert", Pattern: "/a", X: "<x/>"}); err == nil {
-		t.Fatal("want the group commit to fail")
+	_, err := s.Submit("d", Op{Kind: "insert", Pattern: "/a", X: "<y/>"})
+	var fe *faultinject.Error
+	if !errors.As(err, &fe) {
+		t.Fatalf("want the injected fsync error, got %v", err)
 	}
 	faultinject.Reset()
 
-	// The state that included the disclaimed commit is never served.
+	// The state that included the failed commit is never served.
 	if _, err := s.Get("d"); !errors.Is(err, ErrClosed) {
-		t.Fatalf("store kept serving after a failed ack: %v", err)
+		t.Fatalf("Get after a failed fsync: %v, want ErrClosed", err)
 	}
 	if _, err := s.Submit("d", Op{Kind: "read", Pattern: "/a"}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("submit after failed ack: %v", err)
+		t.Fatalf("Submit after a failed fsync: %v, want ErrClosed", err)
 	}
 
 	// Restart recovers at least the acknowledged prefix (the failed
@@ -221,5 +202,158 @@ func TestChaosGroupCommitAckFailureFailsStop(t *testing.T) {
 	info, err := s2.Get("d")
 	if err != nil || info.LSN < acked.LSN {
 		t.Fatalf("recovered %+v, %v; want at least acked lsn %d", info, err, acked.LSN)
+	}
+}
+
+// awaitFired waits until the fault armed at site has fired n times.
+func awaitFired(t *testing.T, site string, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for faultinject.Fired(site) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s fired %d times, want %d", site, faultinject.Fired(site), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestChaosGroupCommitAckFailureFailsStop: commits that wait together
+// share one fsync (group commit), so when that fsync fails, every commit
+// it was to acknowledge fails with it, not only the one that issued it,
+// and the store fail-stops rather than keep serving state it disclaimed.
+func TestChaosGroupCommitAckFailureFailsStop(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	dir := t.TempDir()
+	s := openTest(t, dir, Options{Fsync: FsyncAlways})
+	base := mustCreate(t, s, "d", "<a/>").LSN
+
+	// The first commit's fsync is slow and succeeds. Two more commits
+	// are written while it runs, so neither is covered by it: both wait
+	// for the next fsync, which one of them issues, and which fails.
+	const delay = 500 * time.Millisecond
+	faultinject.Arm("store.fsync", faultinject.Fault{Kind: faultinject.KindLatency, Delay: delay, Times: 1})
+	first := make(chan error, 1)
+	var acked Result
+	go func() {
+		res, err := s.Submit("d", Op{Kind: "insert", Pattern: "/a", X: "<x/>"})
+		acked = res
+		first <- err
+	}()
+	awaitFired(t, "store.fsync", 1)
+	start := time.Now()
+	group := make(chan error, 2)
+	for _, x := range []string{"<y/>", "<z/>"} {
+		go func(x string) {
+			_, err := s.Submit("d", Op{Kind: "insert", Pattern: "/a", X: x})
+			group <- err
+		}(x)
+	}
+	if !s.WaitLSN(context.Background(), base+3, 5*time.Second) {
+		t.Fatal("the group's commits never advanced the LSN")
+	}
+	faultinject.Arm("store.fsync", faultinject.Fault{Kind: faultinject.KindError, Times: 1})
+	if el := time.Since(start); el >= delay {
+		t.Fatalf("the group was written %v after the first fsync began, not within its %v", el, delay)
+	}
+
+	if err := <-first; err != nil {
+		t.Fatalf("the first commit, covered by a successful fsync: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		var fe *faultinject.Error
+		if err := <-group; !errors.As(err, &fe) {
+			t.Fatalf("group commit %d: want the injected fsync error, got %v", i, err)
+		}
+	}
+	if got := faultinject.Fired("store.fsync"); got != 1 {
+		t.Fatalf("the group took %d failing fsyncs, want 1 shared", got)
+	}
+	faultinject.Reset()
+
+	if _, err := s.Get("d"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Get after a failed group fsync: %v, want ErrClosed", err)
+	}
+	if _, err := s.Submit("d", Op{Kind: "read", Pattern: "/a"}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Submit after a failed group fsync: %v, want ErrClosed", err)
+	}
+
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("recovery Open: %v", err)
+	}
+	defer s2.Close()
+	info, err := s2.Get("d")
+	if err != nil || info.LSN < acked.LSN {
+		t.Fatalf("recovered %+v, %v; want at least acked lsn %d", info, err, acked.LSN)
+	}
+}
+
+// TestChaosFsyncPanicReleasesFollowers: the fsync runs outside the
+// store mutex, issued by one waiting commit for all of them. When it
+// panics (a crash drill), the commits waiting on it must not hang: the
+// log is poisoned, every waiter wakes with an error, and the store
+// fail-stops. A reopen then recovers every acknowledged commit.
+func TestChaosFsyncPanicReleasesFollowers(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	dir := t.TempDir()
+	s := openTest(t, dir, Options{Fsync: FsyncAlways})
+	const writers = 8
+	var mu sync.Mutex
+	acked := map[string]Result{}
+	for i := 0; i < writers; i++ {
+		doc := fmt.Sprintf("d%d", i)
+		acked[doc] = mustCreate(t, s, doc, "<a/>")
+	}
+
+	faultinject.Arm("store.fsync", faultinject.Fault{Kind: faultinject.KindPanic, Times: 1})
+	var panics atomic.Int32
+	var wg sync.WaitGroup
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func(doc string) {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					if _, ok := r.(*faultinject.Panic); !ok {
+						panic(r)
+					}
+					panics.Add(1)
+				}
+			}()
+			for {
+				res, err := s.Submit(doc, Op{Kind: "insert", Pattern: "/a", X: "<x/>"})
+				if err != nil {
+					return
+				}
+				mu.Lock()
+				acked[doc] = res
+				mu.Unlock()
+			}
+		}(fmt.Sprintf("d%d", i))
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("writers still blocked 2 s after the fsync panicked")
+	}
+	if panics.Load() != 1 {
+		t.Fatalf("%d writers saw the injected panic, want 1 (the fsync's issuer)", panics.Load())
+	}
+	if _, err := s.Submit("d0", Op{Kind: "insert", Pattern: "/a", X: "<y/>"}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Submit after the fsync panic: %v, want ErrClosed", err)
+	}
+	if _, err := s.Get("d0"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Get after the fsync panic: %v, want ErrClosed", err)
+	}
+	faultinject.Reset()
+
+	s2 := openTest(t, dir, Options{})
+	for doc, want := range acked {
+		info, err := s2.Get(doc)
+		if err != nil || info.LSN < want.LSN {
+			t.Fatalf("recovered %s: %+v, %v; want at least acked lsn %d", doc, info, err, want.LSN)
+		}
 	}
 }

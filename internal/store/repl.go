@@ -133,7 +133,7 @@ func (s *Store) ApplyFrames(ctx context.Context, frames []ReplFrame, verifiedFlo
 		sp.Fail(ErrClosed)
 		return 0, ErrClosed
 	}
-	var lastAck func() error
+	var last uint64 // log position of the last frame appended
 	applied := 0
 	var wm uint64 // highest LSN positively verified or applied this call
 	var ferr error
@@ -177,14 +177,12 @@ func (s *Store) ApplyFrames(ctx context.Context, frames []ReplFrame, verifiedFlo
 			ferr = fmt.Errorf("store: repl frame lsn %d: %w", rec.LSN, err)
 			break
 		}
-		ack, err := s.w.Append(f.Payload, sp)
+		n, err := s.w.Append(f.Payload)
 		if err != nil {
 			ferr = err
 			break
 		}
-		if ack != nil {
-			lastAck = ack
-		}
+		last = n
 		prep()
 		s.advanceLSNLocked(rec.LSN)
 		wm = rec.LSN
@@ -206,9 +204,9 @@ func (s *Store) ApplyFrames(ctx context.Context, frames []ReplFrame, verifiedFlo
 		sp.Set("applied", applied)
 		sp.Set("lsn", lsn)
 	}
-	// Group-commit: one wait covers every append above (flush
-	// generations are monotone).
-	if err := s.awaitAck(lastAck, sp); err != nil {
+	// One wait covers every append above: a record is durable once an
+	// fsync covers a log prefix that holds it.
+	if err := s.awaitDurable(last, sp); err != nil {
 		return lsn, err
 	}
 	if ferr != nil {

@@ -6,6 +6,8 @@ import (
 	"hash/crc32"
 	"strings"
 	"testing"
+
+	"xmlconflict/internal/faultinject"
 )
 
 // shipAll moves every frame past dst's LSN from src to dst, the way the
@@ -18,6 +20,30 @@ func shipAll(t *testing.T, src, dst *Store) {
 	}
 	if _, err := dst.ApplyFrames(context.Background(), frames, 0); err != nil {
 		t.Fatalf("ApplyFrames: %v", err)
+	}
+}
+
+// TestApplyFramesOneFsyncPerBatch: a shipped batch is acknowledged
+// after one fsync that covers every frame it appended, not one fsync
+// per frame.
+func TestApplyFramesOneFsyncPerBatch(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	primary := openTest(t, t.TempDir(), Options{Fsync: FsyncNever})
+	backup := openTest(t, t.TempDir(), Options{Fsync: FsyncAlways})
+	mustCreate(t, primary, "d", "<a/>")
+	for i := 0; i < 7; i++ {
+		mustSubmit(t, primary, "d", Op{Kind: "insert", Pattern: "/a", X: "<x/>"})
+	}
+	frames, ok := primary.FramesSince(0)
+	if !ok || len(frames) != 8 {
+		t.Fatalf("FramesSince(0) = %d frames, ok %v; want 8", len(frames), ok)
+	}
+	faultinject.Arm("store.fsync", faultinject.Fault{Kind: faultinject.KindLatency})
+	if lsn, err := backup.ApplyFrames(context.Background(), frames, 0); err != nil || lsn != 8 {
+		t.Fatalf("ApplyFrames = %d, %v; want 8", lsn, err)
+	}
+	if got := faultinject.Fired("store.fsync"); got != 1 {
+		t.Fatalf("8 shipped frames took %d fsyncs, want 1", got)
 	}
 }
 

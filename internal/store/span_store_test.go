@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
+	"xmlconflict/internal/faultinject"
 	"xmlconflict/internal/telemetry/span"
 )
 
@@ -48,9 +50,11 @@ func TestStoreSpanTree(t *testing.T) {
 	if len(ups) != 2 {
 		t.Fatalf("store.update spans = %d, want 2", len(ups))
 	}
-	// FsyncAlways syncs inside the append, so there is no ack wait span.
+	// FsyncAlways acknowledges after a covering fsync: the commit waits
+	// under store.ack, and, with no other commit to lead it, issues the
+	// fsync itself as that span's child, never inside the append.
 	ok := ups[0]
-	for _, name := range []string{"store.admit", "store.apply", "store.wal.append", "store.fsync"} {
+	for _, name := range []string{"store.admit", "store.apply", "store.wal.append", "store.ack", "store.fsync"} {
 		if got := storeSpans(ok, name); len(got) != 1 {
 			t.Fatalf("committed update: %s spans = %d, want 1", name, len(got))
 		}
@@ -88,30 +92,84 @@ func TestStoreSpanTree(t *testing.T) {
 		t.Fatalf("trace flags = %v, want conflict", v.Flags)
 	}
 
-	// Create and fsync are visible too.
+	// Create and its fsync are visible too. Every fsync sits under the
+	// store.ack wait of the commit that issued it, never under an
+	// append.
 	if got := storeSpans(v.Root, "store.create"); len(got) != 1 {
 		t.Fatalf("store.create spans = %d, want 1", len(got))
 	}
-	if got := storeSpans(v.Root, "store.fsync"); len(got) < 2 {
-		t.Fatalf("store.fsync spans = %d, want >= 2 (create + committed update)", len(got))
+	if got := storeSpans(v.Root, "store.ack"); len(got) != 2 {
+		t.Fatalf("store.ack spans = %d, want 2 (create + committed update)", len(got))
+	}
+	var underAck int
+	for _, ack := range storeSpans(v.Root, "store.ack") {
+		underAck += len(storeSpans(ack, "store.fsync"))
+	}
+	if got := storeSpans(v.Root, "store.fsync"); len(got) != 2 || underAck != 2 {
+		t.Fatalf("store.fsync spans = %d, %d of them under store.ack; want 2, all under it", len(got), underAck)
+	}
+	for _, app := range storeSpans(v.Root, "store.wal.append") {
+		if got := storeSpans(app, "store.fsync"); len(got) != 0 {
+			t.Fatal("a store.fsync span sits under store.wal.append")
+		}
 	}
 }
 
+// TestStoreSpanGroupCommitAck: commits that wait together share one
+// fsync. Each acknowledges under its own store.ack span, but only the
+// commit that issued the fsync times it as that span's child; the
+// others' store.ack spans have none, since they waited on its fsync.
 func TestStoreSpanGroupCommitAck(t *testing.T) {
-	s := openTest(t, t.TempDir(), Options{Fsync: FsyncGroup})
-	tr := span.New("test")
-	ctx := span.Context(context.Background(), tr.Root())
-	if _, err := s.CreateCtx(ctx, "d", "<a/>"); err != nil {
-		t.Fatal(err)
+	t.Cleanup(faultinject.Reset)
+	s := openTest(t, t.TempDir(), Options{Fsync: FsyncAlways})
+	base := mustCreate(t, s, "d", "<a/>").LSN
+
+	// The first commit's fsync is slow; two more commits are written
+	// while it runs, so both wait for the next fsync, which one issues.
+	const delay = 500 * time.Millisecond
+	faultinject.Arm("store.fsync", faultinject.Fault{Kind: faultinject.KindLatency, Delay: delay, Times: 1})
+	traces := []*span.Trace{span.New("first"), span.New("second"), span.New("third")}
+	errs := make(chan error, len(traces))
+	commit := func(tr *span.Trace) {
+		ctx := span.Context(context.Background(), tr.Root())
+		_, err := s.SubmitCtx(ctx, "d", Op{Kind: "insert", Pattern: "/a", X: "<x/>"})
+		tr.Finish()
+		errs <- err
 	}
-	if _, err := s.SubmitCtx(ctx, "d", Op{Kind: "insert", Pattern: "/a", X: "<x/>"}); err != nil {
-		t.Fatal(err)
+	go commit(traces[0])
+	awaitFired(t, "store.fsync", 1)
+	start := time.Now()
+	go commit(traces[1])
+	go commit(traces[2])
+	if !s.WaitLSN(context.Background(), base+3, 5*time.Second) {
+		t.Fatal("the group's commits never advanced the LSN")
 	}
-	tr.Finish()
-	// Group commit acknowledges after the covering fsync: the wait is a
-	// visible store.ack span on both the create and the update.
-	if got := storeSpans(tr.View().Root, "store.ack"); len(got) < 2 {
-		t.Fatalf("store.ack spans = %d, want >= 2", len(got))
+	if el := time.Since(start); el >= delay {
+		t.Fatalf("the group was written %v after the first fsync began, not within its %v", el, delay)
+	}
+	for range traces {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var fsyncs, waited int
+	for i, tr := range traces {
+		acks := storeSpans(tr.View().Root, "store.ack")
+		if len(acks) != 1 {
+			t.Fatalf("commit %d: store.ack spans = %d, want 1", i, len(acks))
+		}
+		under := len(storeSpans(acks[0], "store.fsync"))
+		if all := len(storeSpans(tr.View().Root, "store.fsync")); all != under {
+			t.Fatalf("commit %d: %d store.fsync spans, %d under store.ack; want all under it", i, all, under)
+		}
+		fsyncs += under
+		if under == 0 {
+			waited++
+		}
+	}
+	if fsyncs != 2 || waited != 1 {
+		t.Fatalf("3 commits: %d store.fsync spans, %d acks with none; want 2 and 1 (the group shared one)", fsyncs, waited)
 	}
 }
 

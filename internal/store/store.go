@@ -8,9 +8,10 @@
 // and rejected operations fail with a machine-readable ConflictError
 // naming the node/tree/value semantics that fired.
 //
-// Durability is a checksummed, length-prefixed write-ahead log with a
-// configurable fsync policy (always / group-commit / never) and
-// monotonic LSNs, plus periodic whole-store snapshots (canonical
+// Durability is a checksummed, length-prefixed write-ahead log with
+// monotonic LSNs and an fsync policy: always (a commit is acknowledged
+// after an fsync that covers it, which commits waiting together share)
+// or never, plus periodic whole-store snapshots (canonical
 // serialization + AHU digests) that truncate the log. Recovery replays
 // the WAL over the newest valid snapshot, cleanly cutting any torn
 // tail and re-verifying every replayed record's checksum and digest,
@@ -44,9 +45,6 @@ import (
 type Options struct {
 	// Fsync selects the durability policy for commits.
 	Fsync FsyncPolicy
-	// FsyncInterval is the group-commit cadence under FsyncGroup
-	// (default 5ms).
-	FsyncInterval time.Duration
 	// SnapshotEvery takes an automatic snapshot (and truncates the WAL)
 	// after this many appended records; 0 snapshots only on demand.
 	SnapshotEvery int
@@ -72,9 +70,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.FsyncInterval <= 0 {
-		o.FsyncInterval = 5 * time.Millisecond
-	}
 	if o.HistoryWindow <= 0 {
 		o.HistoryWindow = 32
 	}
@@ -218,7 +213,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 
 	// 2. Open the log, cutting any torn tail the framing scan finds.
-	w, payloads, torn, err := openWAL(filepath.Join(dir, "wal.log"), opts.Fsync, opts.FsyncInterval, s.m)
+	w, payloads, torn, err := openWAL(filepath.Join(dir, "wal.log"), opts.Fsync, s.m)
 	if err != nil {
 		return nil, err
 	}
@@ -633,7 +628,7 @@ func (s *Store) CreateCtx(ctx context.Context, id, xml string) (Result, error) {
 		return Result{}, fmt.Errorf("store: doc %q: %w", id, ErrExists)
 	}
 	lsn := s.lsn + 1
-	ack, err := s.append(record{LSN: lsn, Type: "create", Doc: id, XML: canonical, Digest: digest}, sp)
+	n, err := s.append(record{LSN: lsn, Type: "create", Doc: id, XML: canonical, Digest: digest}, sp)
 	if err != nil {
 		unlock()
 		sp.Fail(err)
@@ -645,7 +640,7 @@ func (s *Store) CreateCtx(ctx context.Context, id, xml string) (Result, error) {
 	s.maybeSnapshotLocked()
 	unlock()
 
-	if err := s.awaitAck(ack, sp); err != nil {
+	if err := s.awaitDurable(n, sp); err != nil {
 		return Result{}, err
 	}
 	sp.Set("lsn", lsn)
@@ -654,7 +649,8 @@ func (s *Store) CreateCtx(ctx context.Context, id, xml string) (Result, error) {
 
 // Get returns the current state of a document. It captures the current
 // version under s.mu and serializes it after unlocking: versions are
-// immutable, so commits may proceed meanwhile.
+// immutable, so commits may proceed meanwhile. Under FsyncAlways it
+// replies only once the writes that reveal the version are durable.
 func (s *Store) Get(id string) (Info, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -666,8 +662,11 @@ func (s *Store) Get(id string) (Info, error) {
 		s.mu.Unlock()
 		return Info{}, fmt.Errorf("store: doc %q: %w", id, ErrNotFound)
 	}
-	tree, info := d.tree, Info{Doc: id, LSN: d.lsn, Digest: d.digest}
+	tree, info, n := d.tree, Info{Doc: id, LSN: d.lsn, Digest: d.digest}, s.w.pending()
 	s.mu.Unlock()
+	if err := s.awaitDurable(n, nil); err != nil {
+		return Info{}, err
+	}
 	info.XML, info.Size = tree.XML(), tree.Size()
 	return info, nil
 }
@@ -697,7 +696,7 @@ func (s *Store) DropCtx(ctx context.Context, id string) (Result, error) {
 		return Result{}, fmt.Errorf("store: doc %q: %w", id, ErrNotFound)
 	}
 	lsn := s.lsn + 1
-	ack, err := s.append(record{LSN: lsn, Type: "drop", Doc: id}, sp)
+	n, err := s.append(record{LSN: lsn, Type: "drop", Doc: id}, sp)
 	if err != nil {
 		unlock()
 		sp.Fail(err)
@@ -709,7 +708,7 @@ func (s *Store) DropCtx(ctx context.Context, id string) (Result, error) {
 	s.maybeSnapshotLocked()
 	unlock()
 
-	if err := s.awaitAck(ack, sp); err != nil {
+	if err := s.awaitDurable(n, sp); err != nil {
 		return Result{}, err
 	}
 	sp.Set("lsn", lsn)
@@ -728,7 +727,7 @@ func (s *Store) Submit(id string, op Op) (Result, error) {
 // SubmitCtx is Submit carrying a request context: a span in ctx
 // receives the operation's forensic sub-tree — the admission check
 // (BaseLSN window and, on rejection, the fired semantics), the apply,
-// the WAL append/fsync, and the group-commit ack wait.
+// the WAL append, and the wait for a covering fsync.
 func (s *Store) SubmitCtx(ctx context.Context, id string, op Op) (Result, error) {
 	switch op.Kind {
 	case "read":
@@ -760,7 +759,8 @@ func (s *Store) submitRead(ctx context.Context, id string, op Op) (Result, error
 	rd := ops.Read{P: p}
 
 	// Admission reads the window under s.mu; the admitted version is
-	// immutable, so it is evaluated and serialized after unlocking.
+	// immutable, so it is evaluated and serialized after unlocking, and
+	// once the writes that reveal it are durable.
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -778,8 +778,11 @@ func (s *Store) submitRead(ctx context.Context, id string, op Op) (Result, error
 		s.mu.Unlock()
 		return Result{}, err
 	}
-	tree, res := d.tree, Result{Doc: id, LSN: d.lsn, Digest: d.digest}
+	tree, res, n := d.tree, Result{Doc: id, LSN: d.lsn, Digest: d.digest}, s.w.pending()
 	s.mu.Unlock()
+	if err := s.awaitDurable(n, sp); err != nil {
+		return Result{}, err
+	}
 
 	nodes := rd.Eval(tree)
 	res.Nodes = make([]string, len(nodes))
@@ -839,7 +842,7 @@ func (s *Store) submitUpdate(ctx context.Context, id string, op Op) (Result, err
 		asp.End()
 	}
 	lsn := s.lsn + 1
-	ack, err := s.append(record{
+	n, err := s.append(record{
 		LSN: lsn, Type: "update", Doc: id,
 		Kind: op.Kind, Pattern: op.Pattern, X: canonX, Digest: digest,
 	}, sp)
@@ -853,7 +856,7 @@ func (s *Store) submitUpdate(ctx context.Context, id string, op Op) (Result, err
 	s.maybeSnapshotLocked()
 	unlock()
 
-	if err := s.awaitAck(ack, sp); err != nil {
+	if err := s.awaitDurable(n, sp); err != nil {
 		return Result{}, err
 	}
 	sp.Set("lsn", lsn)
@@ -902,11 +905,12 @@ func (s *Store) admitSpanned(parent *span.Span, d *doc, op Op, rd *ops.Read, upd
 }
 
 // append encodes and appends one record under a "store.wal.append"
-// span (a child of parent); the caller holds s.mu.
-func (s *Store) append(rec record, parent *span.Span) (func() error, error) {
+// span (a child of parent) and returns its log position for
+// awaitDurable; the caller holds s.mu.
+func (s *Store) append(rec record, parent *span.Span) (uint64, error) {
 	payload, err := encodeRecord(rec)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	wsp := parent.Child("store.wal.append")
 	if wsp != nil {
@@ -914,7 +918,7 @@ func (s *Store) append(rec record, parent *span.Span) (func() error, error) {
 		wsp.Set("type", rec.Type)
 		wsp.Set("bytes", len(payload))
 	}
-	ack, err := s.w.Append(payload, wsp)
+	n, err := s.w.Append(payload)
 	wsp.Fail(err)
 	wsp.End()
 	if err == nil {
@@ -922,49 +926,66 @@ func (s *Store) append(rec record, parent *span.Span) (func() error, error) {
 		// the frame is retained for replication shipping right here.
 		s.pushReplFrame(rec.LSN, payload)
 	}
-	return ack, err
+	return n, err
 }
 
 // guardCommit is deferred by mutating operations while they hold s.mu.
 // A panic mid-commit (a crash drill via faultinject, or a real bug
 // mid-append) may leave the WAL offset inconsistent with the file, so
-// the store fail-stops: it is poisoned (marked closed) before the lock
-// is released and the panic rethrown. A containment layer above can
-// keep the process alive, but the store refuses further operations
-// until a restart re-runs recovery over what actually hit the disk.
+// the store fail-stops before the lock is released and the panic
+// rethrown. A containment layer above can keep the process alive, but
+// the store refuses further operations until a restart re-runs
+// recovery over what actually hit the disk.
 func (s *Store) guardCommit(lockedp *bool) {
 	if r := recover(); r != nil {
 		if *lockedp {
-			s.closed = true
+			s.stopLocked()
 			s.mu.Unlock()
 		}
 		panic(r)
 	}
 }
 
-// awaitAck waits out a group-commit acknowledgment, if any, under a
-// "store.ack" span (the wait for the covering group fsync). A failed
-// ack means a commit already published to in-memory state was reported
-// lost to its client, so the store fail-stops — the same rule the panic
-// path enforces: state the store disclaimed is never served. A restart
-// re-runs recovery over what actually reached the disk.
-func (s *Store) awaitAck(ack func() error, parent *span.Span) error {
-	if ack == nil {
+// awaitDurable waits, under a "store.ack" span, until log position n is
+// durable (see wal.waitDurable); 0 returns at once. A failed or
+// panicking fsync means state already published in memory may be lost,
+// so the store fail-stops, whoever issued the fsync: state the store
+// cannot vouch for is never served. A restart re-runs recovery over
+// what actually reached the disk. The deferred fail-stop also runs when
+// the fsync panics, so it happens before the panic propagates.
+func (s *Store) awaitDurable(n uint64, parent *span.Span) error {
+	if n == 0 {
 		return nil
 	}
 	ksp := parent.Child("store.ack")
-	err := ack()
-	ksp.Fail(err)
-	ksp.End()
-	if err != nil {
-		s.mu.Lock()
-		if !s.closed {
-			s.closed = true
-			s.w.Close()
+	err := errSyncPanicked // still set if waitDurable panics
+	defer func() {
+		ksp.Fail(err)
+		ksp.End()
+		if err != nil {
+			s.mu.Lock()
+			s.stopLocked()
+			s.mu.Unlock()
 		}
-		s.mu.Unlock()
-	}
+	}()
+	err = s.w.waitDurable(n, ksp)
 	return err
+}
+
+// stopLocked closes the store, once: every later operation answers
+// ErrClosed, parked WaitLSN waiters wake and give up, and the WAL is
+// closed (see wal.Close). Close calls it, and so does every fail-stop.
+// The caller holds s.mu.
+func (s *Store) stopLocked() error {
+	if s.closed {
+		return nil
+	}
+	s.closed = true
+	if s.lsnCh != nil {
+		close(s.lsnCh)
+		s.lsnCh = nil
+	}
+	return s.w.Close()
 }
 
 // maybeSnapshotLocked auto-snapshots when the configured append count
@@ -1001,7 +1022,7 @@ func (s *Store) snapshotLocked() (uint64, error) {
 		return 0, err
 	}
 	// The snapshot now durably carries every record's effect: the WAL
-	// can restart empty, and pending group commits are satisfied.
+	// can restart empty, and commits waiting for an fsync are satisfied.
 	if err := s.w.reset(); err != nil {
 		// Leftover records are harmless — recovery skips LSNs the
 		// snapshot already covers — so a failed truncation only wastes
@@ -1077,16 +1098,7 @@ func (s *Store) Docs() []string {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	if s.lsnCh != nil {
-		// Wake parked WaitLSN waiters; they observe closed and give up.
-		close(s.lsnCh)
-		s.lsnCh = nil
-	}
-	return s.w.Close()
+	return s.stopLocked()
 }
 
 func sortedIDs(docs map[string]*doc) []string {

@@ -3,10 +3,13 @@ package store
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"xmlconflict/internal/faultinject"
 	"xmlconflict/internal/ops"
 	"xmlconflict/internal/telemetry"
 	"xmlconflict/internal/xmltree"
@@ -355,7 +358,7 @@ func TestParseLimitsEnforced(t *testing.T) {
 }
 
 func TestGroupCommitAcks(t *testing.T) {
-	s := openTest(t, t.TempDir(), Options{Fsync: FsyncGroup, FsyncInterval: time.Millisecond})
+	s := openTest(t, t.TempDir(), Options{Fsync: FsyncAlways})
 	mustCreate(t, s, "d", "<a/>")
 	done := make(chan error, 8)
 	for i := 0; i < 8; i++ {
@@ -373,6 +376,73 @@ func TestGroupCommitAcks(t *testing.T) {
 	if info.Size != 9 {
 		t.Fatalf("size %d, want 9", info.Size)
 	}
+}
+
+// TestConcurrentCommitsShareFsync: commits append under the store
+// mutex but wait for their fsync after releasing it, so commits that
+// wait together share one fsync instead of queueing one each behind
+// the mutex.
+func TestConcurrentCommitsShareFsync(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	s := openTest(t, t.TempDir(), Options{Fsync: FsyncAlways})
+	const writers, each = 8, 4
+	for i := 0; i < writers; i++ {
+		mustCreate(t, s, fmt.Sprintf("d%d", i), "<a/>")
+	}
+	faultinject.Arm("store.fsync", faultinject.Fault{Kind: faultinject.KindLatency, Delay: 20 * time.Millisecond})
+	var wg sync.WaitGroup
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func(doc string) {
+			defer wg.Done()
+			for j := 0; j < each; j++ {
+				if _, err := s.Submit(doc, Op{Kind: "insert", Pattern: "/a", X: "<x/>"}); err != nil {
+					t.Errorf("submit %s: %v", doc, err)
+					return
+				}
+			}
+		}(fmt.Sprintf("d%d", i))
+	}
+	wg.Wait()
+	if got := faultinject.Fired("store.fsync"); got > writers*each/2 {
+		t.Fatalf("%d commits took %d fsyncs, want at most %d", writers*each, got, writers*each/2)
+	}
+}
+
+// TestReadWaitsForCoveringFsync: a commit is visible in memory before
+// its fsync completes, because the fsync runs outside the store mutex.
+// Get and reads must still not reveal it before then: a reply that
+// showed a version a crash could still lose would break FsyncAlways's
+// contract.
+func TestReadWaitsForCoveringFsync(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	s := openTest(t, t.TempDir(), Options{Fsync: FsyncAlways})
+	base := mustCreate(t, s, "d", "<a/>").LSN
+	const delay = 200 * time.Millisecond
+	faultinject.Arm("store.fsync", faultinject.Fault{Kind: faultinject.KindLatency, Delay: delay, Times: 1})
+	start := time.Now()
+	go s.Submit("d", Op{Kind: "insert", Pattern: "/a", X: "<x/>"})
+	if !s.WaitLSN(context.Background(), base+1, 5*time.Second) {
+		t.Fatal("the insert never advanced the LSN")
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		info, err := s.Get("d")
+		if el := time.Since(start); err == nil && info.LSN > base && el < delay {
+			t.Errorf("Get returned lsn %d after %v, before the covering fsync", info.LSN, el)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		res, err := s.Submit("d", Op{Kind: "read", Pattern: "/a/x"})
+		if el := time.Since(start); err == nil && res.LSN > base && el < delay {
+			t.Errorf("read returned lsn %d after %v, before the covering fsync", res.LSN, el)
+		}
+	}()
+	wg.Wait()
 }
 
 func TestClosedStore(t *testing.T) {
@@ -490,5 +560,26 @@ func TestWaitLSN(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("close left a waiter parked")
+	}
+
+	// A fail-stop releases parked waiters as Close does: a failed fsync
+	// closes the store, and the waiter gives up at once rather than at
+	// the end of its budget.
+	t.Cleanup(faultinject.Reset)
+	s2 := openTest(t, t.TempDir(), Options{Fsync: FsyncAlways})
+	mustCreate(t, s2, "d", "<r/>")
+	go func() { done <- s2.WaitLSN(ctx, s2.LSN()+100, 5*time.Second) }()
+	time.Sleep(5 * time.Millisecond)
+	faultinject.Arm("store.fsync", faultinject.Fault{Kind: faultinject.KindError, Times: 1})
+	if _, err := s2.Submit("d", Op{Kind: "insert", Pattern: "/r", X: "<x/>"}); err == nil {
+		t.Fatal("want the injected fsync failure")
+	}
+	select {
+	case ok := <-done:
+		if ok {
+			t.Fatal("waiter on a fail-stopped store reported success")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("fail-stop left a waiter parked")
 	}
 }

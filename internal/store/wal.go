@@ -3,11 +3,12 @@ package store
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"xmlconflict/internal/faultinject"
 	"xmlconflict/internal/telemetry"
@@ -94,26 +95,22 @@ func scanFrames(b []byte) (payloads [][]byte, used int, torn bool) {
 type FsyncPolicy int
 
 const (
-	// FsyncAlways fsyncs before every commit is acknowledged: an
-	// acknowledged operation survives any crash.
+	// FsyncAlways acknowledges a commit only after an fsync that began
+	// once its record was written: an acknowledged operation survives
+	// any crash. Commits waiting at the same time share one fsync (see
+	// waitDurable).
 	FsyncAlways FsyncPolicy = iota
-	// FsyncGroup acknowledges commits after the next group fsync (the
-	// classic group-commit trade: bounded data loss, amortized fsyncs).
-	FsyncGroup
 	// FsyncNever leaves durability to the OS page cache: fastest, and
 	// an acknowledged operation survives a process crash but not a
 	// machine crash.
 	FsyncNever
 )
 
-// String names the policy as it appears in flags ("always", "group",
-// "never").
+// String names the policy as it appears in flags ("always", "never").
 func (p FsyncPolicy) String() string {
 	switch p {
 	case FsyncAlways:
 		return "always"
-	case FsyncGroup:
-		return "group"
 	case FsyncNever:
 		return "never"
 	}
@@ -121,29 +118,33 @@ func (p FsyncPolicy) String() string {
 }
 
 // wal is the open write-ahead log. Appends are serialized by the
-// store's lock; the group-commit flusher only ever calls Sync, which is
-// safe concurrently with writes.
+// store's lock; fsyncs run after the appender releases it (waitDurable),
+// concurrently with later writes, which os.File allows.
 type wal struct {
 	path   string
 	f      *os.File
 	m      *telemetry.Metrics
 	policy FsyncPolicy
-	every  time.Duration
 	off    int64 // current append offset
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	writeGen uint64 // generation of the latest completed write
-	flushGen uint64 // generation covered by the latest fsync
-	err      error  // sticky: a failed group fsync poisons the log
-	stop     chan struct{}
-	done     chan struct{}
+	// written counts the records appended, under the store's lock;
+	// synced counts those made durable, by an fsync, by the snapshot that
+	// replaced them, or by Close. Neither ever falls, and synced never
+	// passes written. synced is stored under mu; both are read without
+	// it.
+	written atomic.Uint64
+	synced  atomic.Uint64
+
+	mu      sync.Mutex
+	cond    *sync.Cond // broadcast when an fsync ends or the log is poisoned
+	syncing bool       // an fsync is in flight
+	err     error      // sticky: a failed fsync poisons the log
 }
 
 // openWAL opens (or creates) the log file, validates the magic, scans
 // the existing frames, truncates any torn tail, and returns the valid
 // payloads for replay. tornTail reports whether a tail was cut.
-func openWAL(path string, policy FsyncPolicy, every time.Duration, m *telemetry.Metrics) (w *wal, payloads [][]byte, tornTail bool, err error) {
+func openWAL(path string, policy FsyncPolicy, m *telemetry.Metrics) (w *wal, payloads [][]byte, tornTail bool, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("store: open wal: %w", err)
@@ -199,105 +200,142 @@ func openWAL(path string, policy FsyncPolicy, every time.Duration, m *telemetry.
 		return nil, nil, false, fmt.Errorf("store: seek wal: %w", err)
 	}
 
-	w = &wal{path: path, f: f, m: m, policy: policy, every: every, off: good}
+	w = &wal{path: path, f: f, m: m, policy: policy, off: good}
 	w.cond = sync.NewCond(&w.mu)
-	if policy == FsyncGroup {
-		if w.every <= 0 {
-			w.every = 5 * time.Millisecond
-		}
-		w.stop = make(chan struct{})
-		w.done = make(chan struct{})
-		go w.flusher()
-	}
 	return w, payloads, tornTail, nil
 }
 
-// Append writes one framed record. The returned ack is non-nil only
-// under FsyncGroup: the caller must invoke it (after releasing the
-// store lock) and treat its error as a failed commit. Under FsyncAlways
-// the record is durable — or rolled back — before Append returns. sp,
-// when non-nil, is the caller's wal-append span; the synchronous fsync
-// of FsyncAlways is timed under a "store.fsync" child of it.
+// Append writes one framed record and returns its position n in the
+// log. Under FsyncAlways the caller must pass n to waitDurable after
+// releasing the store lock, and acknowledge nothing before that
+// returns; under FsyncNever n is 0 and nothing waits.
 //
 // Fault-injection sites, in write order: "store.append" before anything
-// touches the file, "store.append.partial" between the frame header and
-// the payload (a panic here leaves a torn record, exactly what a crash
-// mid-write does), and "store.fsync" before the synchronous fsync.
-func (w *wal) Append(payload []byte, sp *span.Span) (ack func() error, err error) {
+// touches the file, and "store.append.partial" between the frame header
+// and the payload (a panic here leaves a torn record, exactly what a
+// crash mid-write does).
+func (w *wal) Append(payload []byte) (n uint64, err error) {
 	w.mu.Lock()
 	sticky := w.err
 	w.mu.Unlock()
 	if sticky != nil {
-		return nil, fmt.Errorf("store: wal poisoned by earlier fsync failure: %w", sticky)
+		return 0, fmt.Errorf("store: wal poisoned by earlier fsync failure: %w", sticky)
 	}
 	// Refuse, before anything touches the file, any record the recovery
 	// scan would reject as corrupt: writing it would acknowledge a
 	// commit that is durable but unreadable on restart.
 	if len(payload) > maxRecordBytes {
-		return nil, fmt.Errorf("store: wal append: record payload %d bytes exceeds the %d-byte frame limit", len(payload), maxRecordBytes)
+		return 0, fmt.Errorf("store: wal append: record payload %d bytes exceeds the %d-byte frame limit", len(payload), maxRecordBytes)
 	}
 	if err := faultinject.Fire("store.append"); err != nil {
-		return nil, err
+		return 0, err
 	}
 	start := w.off
 	frame := encodeFrame(payload)
 	if _, err := w.f.Write(frame[:frameHead]); err != nil {
 		w.rollback(start)
-		return nil, fmt.Errorf("store: wal append: %w", err)
+		return 0, fmt.Errorf("store: wal append: %w", err)
 	}
 	// A fault here models a crash between the header and payload
 	// reaching the file: the record is torn and recovery must cut it.
 	if err := faultinject.Fire("store.append.partial"); err != nil {
 		w.rollback(start)
-		return nil, err
+		return 0, err
 	}
 	if _, err := w.f.Write(frame[frameHead:]); err != nil {
 		w.rollback(start)
-		return nil, fmt.Errorf("store: wal append: %w", err)
+		return 0, fmt.Errorf("store: wal append: %w", err)
 	}
 	w.off = start + int64(len(frame))
 	w.m.Add("store.appends", 1)
-
-	switch w.policy {
-	case FsyncAlways:
-		fsp := sp.Child("store.fsync")
-		if err := w.syncNow(); err != nil {
-			fsp.Fail(err)
-			fsp.End()
-			w.rollback(start)
-			return nil, err
-		}
-		fsp.End()
-		return nil, nil
-	case FsyncNever:
-		return nil, nil
+	if w.policy == FsyncNever {
+		return 0, nil
 	}
-	// Group commit: claim a generation; the ack blocks until a flush
-	// covers it.
+	return w.written.Add(1), nil
+}
+
+// pending returns the position a reply must wait for before it reveals
+// what has been written so far: the last record written, or 0 when all
+// of it is durable already or nothing ever waits (FsyncNever). The
+// caller holds the store's lock.
+func (w *wal) pending() uint64 {
+	if w.policy == FsyncNever {
+		return 0
+	}
+	if n := w.written.Load(); n > w.synced.Load() {
+		return n
+	}
+	return 0
+}
+
+// waitDurable returns once record n is durable: an fsync that began
+// after it was written has completed. If no fsync is in flight the
+// caller issues one itself, covering every record written so far;
+// otherwise it waits for the one in flight and, if that began too
+// early, for the next. This is leader/follower group commit: commits
+// that wait together share one fsync. The error is non-nil when the log
+// is poisoned before record n became durable. sp is the caller's
+// "store.ack" span; a leader times its fsync under it.
+func (w *wal) waitDurable(n uint64, sp *span.Span) error {
 	w.mu.Lock()
-	w.writeGen++
-	gen := w.writeGen
+	for w.synced.Load() < n && w.err == nil {
+		if w.syncing {
+			w.cond.Wait()
+			continue
+		}
+		w.syncing = true
+		target := w.written.Load()
+		w.mu.Unlock()
+		w.sync(target, sp)
+		w.mu.Lock()
+	}
+	var err error
+	if w.synced.Load() < n {
+		err = fmt.Errorf("store: commit not durable: %w", w.err)
+	}
 	w.mu.Unlock()
-	return func() error { return w.waitFlushed(gen) }, nil
+	return err
 }
 
-// syncNow performs one fault-injectable fsync. Its caller times it: the
-// "store.fsync" span of an FsyncAlways append, or the group flush's
-// timer.
-func (w *wal) syncNow() error {
-	if err := faultinject.Fire("store.fsync"); err != nil {
-		return err
+// errSyncPanicked poisons the log when the fsync panics.
+var errSyncPanicked = errors.New("store: wal fsync panicked")
+
+// sync performs one fsync, at the "store.fsync" fault site and under a
+// "store.fsync" child of sp, and publishes its outcome: records up to
+// target become durable, or the failure poisons the log, since the
+// records it covered may already be visible and cannot be rolled back
+// one by one. The publication is deferred so that a panic at the fsync
+// (a crash drill) also poisons the log and wakes every waiter before it
+// propagates. The caller has set w.syncing.
+func (w *wal) sync(target uint64, sp *span.Span) {
+	fsp := sp.Child("store.fsync")
+	err := errSyncPanicked
+	defer func() {
+		fsp.Fail(err)
+		fsp.End()
+		w.mu.Lock()
+		if err != nil {
+			if w.err == nil {
+				w.err = err
+			}
+		} else if target > w.synced.Load() {
+			w.synced.Store(target)
+		}
+		w.syncing = false
+		w.cond.Broadcast()
+		w.mu.Unlock()
+	}()
+	if err = faultinject.Fire("store.fsync"); err == nil {
+		if err = w.f.Sync(); err != nil {
+			err = fmt.Errorf("store: wal fsync: %w", err)
+		}
 	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("store: wal fsync: %w", err)
-	}
-	return nil
 }
 
-// rollback undoes an append whose write or fsync failed, so the file
-// never holds a record the caller was told failed. If even the
-// truncate fails the log is poisoned: later appends refuse to run
-// rather than build on an unknown tail.
+// rollback undoes an append whose write failed, so the file never
+// holds a record the caller was told failed. If even the truncate fails
+// the log is poisoned: later appends refuse to run rather than build on
+// an unknown tail.
 func (w *wal) rollback(to int64) {
 	if err := w.f.Truncate(to); err == nil {
 		if _, err := w.f.Seek(to, 0); err == nil {
@@ -313,79 +351,10 @@ func (w *wal) rollback(to int64) {
 	w.mu.Unlock()
 }
 
-// waitFlushed blocks until a group fsync covers gen, the log is
-// poisoned, or the flusher exits.
-func (w *wal) waitFlushed(gen uint64) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for w.flushGen < gen && w.err == nil {
-		w.cond.Wait()
-	}
-	if w.err != nil && w.flushGen < gen {
-		return fmt.Errorf("store: group commit lost: %w", w.err)
-	}
-	return nil
-}
-
-// flusher is the group-commit loop: every interval, if new writes
-// landed since the last fsync, fsync once and wake every waiter the
-// flush covers. An fsync failure poisons the log — the affected writes
-// cannot be individually rolled back.
-func (w *wal) flusher() {
-	defer close(w.done)
-	tick := time.NewTicker(w.every)
-	defer tick.Stop()
-	for {
-		select {
-		case <-w.stop:
-			w.flushOnce()
-			return
-		case <-tick.C:
-			w.flushOnce()
-		}
-	}
-}
-
-func (w *wal) flushOnce() {
-	w.mu.Lock()
-	target := w.writeGen
-	already := w.flushGen
-	poisoned := w.err != nil
-	w.mu.Unlock()
-	if target == already || poisoned {
-		return
-	}
-	// The group fsync runs outside every request trace, so no span
-	// covers it: it is timed here instead.
-	stop := w.m.Timer("store.fsync").Start()
-	err := w.syncNow()
-	stop()
-	w.mu.Lock()
-	if err != nil {
-		if w.err == nil {
-			w.err = err
-		}
-	} else if w.flushGen < target {
-		w.flushGen = target
-	}
-	w.cond.Broadcast()
-	w.mu.Unlock()
-}
-
-// markAllFlushed reports every outstanding write durable without an
-// fsync of the log itself — the snapshot that was just fsynced carries
-// their effects, so pending group-commit waiters may be acknowledged.
-func (w *wal) markAllFlushed() {
-	w.mu.Lock()
-	if w.flushGen < w.writeGen {
-		w.flushGen = w.writeGen
-	}
-	w.cond.Broadcast()
-	w.mu.Unlock()
-}
-
 // reset truncates the log back to just its magic, dropping every
-// record. Called after a snapshot has durably captured their effects.
+// record. Called after a snapshot has durably captured their effects,
+// so every record written so far counts as durable and its waiters are
+// released without an fsync of their own.
 func (w *wal) reset() error {
 	good := int64(len(walMagic))
 	if err := w.f.Truncate(good); err != nil {
@@ -398,21 +367,32 @@ func (w *wal) reset() error {
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("store: wal reset fsync: %w", err)
 	}
-	w.markAllFlushed()
+	w.mu.Lock()
+	w.synced.Store(w.written.Load())
+	w.cond.Broadcast()
+	w.mu.Unlock()
 	return nil
 }
 
-// Close stops the flusher (flushing once more on the way out), fsyncs
-// under FsyncAlways/FsyncGroup, and closes the file.
+// Close waits for an fsync in flight, fsyncs once more unless the log
+// is poisoned or never fsyncs, which releases every waiter still
+// pending, and closes the file. The caller holds the store's lock, so
+// nothing is written meanwhile and no waiter is left uncovered.
 func (w *wal) Close() error {
-	if w.stop != nil {
-		close(w.stop)
-		<-w.done
+	w.mu.Lock()
+	for w.syncing {
+		w.cond.Wait()
 	}
 	var err error
-	if w.policy != FsyncNever {
-		err = w.f.Sync()
+	if w.policy != FsyncNever && w.err == nil {
+		if err = w.f.Sync(); err != nil {
+			w.err = fmt.Errorf("store: wal fsync on close: %w", err)
+		} else {
+			w.synced.Store(w.written.Load())
+		}
+		w.cond.Broadcast()
 	}
+	w.mu.Unlock()
 	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}

@@ -68,21 +68,21 @@ func TestScanFramesTornTails(t *testing.T) {
 func TestOpenWALFreshAndReopen(t *testing.T) {
 	path := t.TempDir() + "/wal.log"
 	m := telemetry.New()
-	w, payloads, torn, err := openWAL(path, FsyncAlways, 0, m)
+	w, payloads, torn, err := openWAL(path, FsyncAlways, m)
 	if err != nil || torn || len(payloads) != 0 {
 		t.Fatalf("fresh open: %v torn=%v n=%d", err, torn, len(payloads))
 	}
-	if _, err := w.Append([]byte("one"), nil); err != nil {
+	if _, err := w.Append([]byte("one")); err != nil {
 		t.Fatalf("append: %v", err)
 	}
-	if _, err := w.Append([]byte("two"), nil); err != nil {
+	if _, err := w.Append([]byte("two")); err != nil {
 		t.Fatalf("append: %v", err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 
-	w2, payloads, torn, err := openWAL(path, FsyncAlways, 0, m)
+	w2, payloads, torn, err := openWAL(path, FsyncAlways, m)
 	if err != nil || torn {
 		t.Fatalf("reopen: %v torn=%v", err, torn)
 	}
@@ -95,11 +95,11 @@ func TestOpenWALFreshAndReopen(t *testing.T) {
 func TestOpenWALTruncatesTornTail(t *testing.T) {
 	path := t.TempDir() + "/wal.log"
 	m := telemetry.New()
-	w, _, _, err := openWAL(path, FsyncNever, 0, m)
+	w, _, _, err := openWAL(path, FsyncNever, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Append([]byte("keep"), nil); err != nil {
+	if _, err := w.Append([]byte("keep")); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -111,7 +111,7 @@ func TestOpenWALTruncatesTornTail(t *testing.T) {
 	f.Write(encodeFrame([]byte("torn"))[:6])
 	f.Close()
 
-	w2, payloads, torn, err := openWAL(path, FsyncNever, 0, m)
+	w2, payloads, torn, err := openWAL(path, FsyncNever, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +121,11 @@ func TestOpenWALTruncatesTornTail(t *testing.T) {
 	}
 	// The tail is gone from disk, and new appends land cleanly after
 	// the surviving record.
-	if _, err := w2.Append([]byte("after"), nil); err != nil {
+	if _, err := w2.Append([]byte("after")); err != nil {
 		t.Fatal(err)
 	}
 	w2.Close()
-	_, payloads, torn, err = openWAL(path, FsyncNever, 0, m)
+	_, payloads, torn, err = openWAL(path, FsyncNever, m)
 	if err != nil || torn {
 		t.Fatalf("third open: %v torn=%v", err, torn)
 	}
@@ -139,7 +139,7 @@ func TestOpenWALShortHeaderResets(t *testing.T) {
 	if err := os.WriteFile(path, []byte("XCW"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, payloads, torn, err := openWAL(path, FsyncNever, 0, telemetry.New())
+	w, payloads, torn, err := openWAL(path, FsyncNever, telemetry.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestOpenWALBadMagicRefuses(t *testing.T) {
 	if err := os.WriteFile(path, []byte("NOTAWAL0rest"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := openWAL(path, FsyncNever, 0, telemetry.New()); err == nil {
+	if _, _, _, err := openWAL(path, FsyncNever, telemetry.New()); err == nil {
 		t.Fatal("bad magic: want error")
 	}
 }
@@ -180,20 +180,20 @@ func TestRecordRoundTrip(t *testing.T) {
 func TestAppendRejectsOversizedRecord(t *testing.T) {
 	path := t.TempDir() + "/wal.log"
 	m := telemetry.New()
-	w, _, _, err := openWAL(path, FsyncNever, 0, m)
+	w, _, _, err := openWAL(path, FsyncNever, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A payload the recovery scan would refuse to read must be refused
 	// on the write side too — before any byte reaches the file.
-	if _, err := w.Append(make([]byte, maxRecordBytes+1), nil); err == nil {
+	if _, err := w.Append(make([]byte, maxRecordBytes+1)); err == nil {
 		t.Fatal("oversized append: want error")
 	}
-	if _, err := w.Append([]byte("ok"), nil); err != nil {
+	if _, err := w.Append([]byte("ok")); err != nil {
 		t.Fatalf("small append after rejection: %v", err)
 	}
 	w.Close()
-	_, payloads, torn, err := openWAL(path, FsyncNever, 0, m)
+	_, payloads, torn, err := openWAL(path, FsyncNever, m)
 	if err != nil || torn || len(payloads) != 1 || string(payloads[0]) != "ok" {
 		t.Fatalf("reopen after oversized rejection: %v torn=%v payloads=%q", err, torn, payloads)
 	}

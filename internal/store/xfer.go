@@ -311,8 +311,7 @@ func (s *Store) installXferLocked(ctx context.Context, lsn uint64, replace bool)
 		err = removeSnapshotsAbove(s.dir, lsn)
 	}
 	if err != nil {
-		s.closed = true
-		s.w.Close()
+		s.stopLocked()
 		err = fmt.Errorf("store: xfer install, store fail-stopped: %w", err)
 		sp.Fail(err)
 		return err

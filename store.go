@@ -43,10 +43,9 @@ type StoreConflictError = store.ConflictError
 type FsyncPolicy = store.FsyncPolicy
 
 const (
-	// FsyncAlways fsyncs before every commit acknowledgment.
+	// FsyncAlways acknowledges a commit after an fsync that covers
+	// it; commits waiting together share one.
 	FsyncAlways = store.FsyncAlways
-	// FsyncGroup acknowledges after the next group fsync.
-	FsyncGroup = store.FsyncGroup
 	// FsyncNever leaves durability to the OS page cache.
 	FsyncNever = store.FsyncNever
 )
