@@ -498,28 +498,23 @@ func BenchmarkE18TelemetryOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelSearch compares the sequential and worker-pool witness
-// searches on a branching-read refutation workload. The speedup tracks
-// GOMAXPROCS (per-candidate checks dominate and parallelize); on a
-// single-core machine the two are necessarily equal.
-func BenchmarkParallelSearch(b *testing.B) {
+// BenchmarkCappedSearch times a branching-read refutation whose witness
+// space far exceeds the candidate cap, so every run examines exactly
+// 100 000 candidates: ns/op divided by that is the sweep's cost per
+// candidate.
+func BenchmarkCappedSearch(b *testing.B) {
 	r := ops.Read{P: xpath.MustParse("a[b][c]/d")}
 	d := ops.Delete{P: xpath.MustParse("z/w")}
 	opts := core.SearchOptions{MaxNodes: 5, MaxCandidates: 100_000}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.SearchConflict(r, d, ops.NodeSemantics, opts); err != nil {
-				b.Fatal(err)
-			}
+	for i := 0; i < b.N; i++ {
+		v, err := core.SearchConflict(r, d, ops.NodeSemantics, opts)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.SearchConflictParallel(r, d, ops.NodeSemantics, opts, 0); err != nil {
-				b.Fatal(err)
-			}
+		if v.Reason != core.ReasonCandidateCap {
+			b.Fatalf("search not capped: %+v", v)
 		}
-	})
+	}
 }
 
 // BenchmarkE19BatchAnalysis is the testing.B anchor for experiment E19:

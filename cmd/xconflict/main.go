@@ -15,8 +15,6 @@
 //	-sem     conflict semantics: node (default), tree, or value
 //	-shrink  minimize the witness via marking/reparenting (Lemma 11)
 //	-max     witness size bound for the search fallback (branching reads)
-//	-j       NP-case search workers (0 = GOMAXPROCS, 1 = sequential);
-//	         verdicts are identical at any setting
 //	-schema  restrict witnesses to documents valid under a schema file
 //	-max-input  largest -schema file accepted in bytes (default 16 MiB)
 //	-quiet   print only "conflict" or "no conflict"
@@ -71,7 +69,6 @@ func run(args []string) int {
 	semName := fs.String("sem", "node", "conflict semantics: node, tree, or value")
 	shrink := fs.Bool("shrink", false, "minimize the witness (node semantics)")
 	maxNodes := fs.Int("max", 8, "witness size bound for the search fallback")
-	jobs := fs.Int("j", 1, "NP-case search workers (0 = GOMAXPROCS); the verdict is identical at any setting")
 	deadline := fs.Duration("deadline", 0, "wall-clock budget for the search; exhaustion degrades the verdict to incomplete (reason \"deadline\") instead of failing")
 	quiet := fs.Bool("quiet", false, "print only the verdict")
 	jsonOut := fs.Bool("json", false, "emit the verdict as JSON")
@@ -177,13 +174,6 @@ func run(args []string) int {
 			s.Instrument(st)
 		}
 		v, err = xmlconflict.DetectUnderSchema(read, upd, sem, s, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xconflict: %v\n", err)
-			return 2
-		}
-	} else if *jobs != 1 {
-		var err error
-		v, err = xmlconflict.DetectParallel(read, upd, sem, opts, *jobs)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "xconflict: %v\n", err)
 			return 2

@@ -33,6 +33,7 @@ func TestExitCodes(t *testing.T) {
 		{"delete of root", []string{"-read", "/a", "-delete", "/a"}, 2},
 		{"branching read search", []string{"-read", "/a[q]/b", "-insert", "/a", "-x", "<b/>", "-max", "4"}, 1},
 		{"missing schema file", []string{"-schema", "/nonexistent", "-read", "/a", "-delete", "/a/b"}, 2},
+		{"no search workers flag", []string{"-j", "2", "-read", "/a[q]/b", "-insert", "/a", "-x", "<b/>", "-max", "4"}, 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

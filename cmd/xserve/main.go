@@ -13,7 +13,7 @@
 //	POST /v1/detect
 //	    {"read": "//A[B]", "insert": "/*/B", "x": "<C/>",
 //	     "semantics": "node", "max_nodes": 8, "max_candidates": 100000,
-//	     "schema": "...", "tree": "<a>...</a>", "workers": 0}
+//	     "schema": "...", "tree": "<a>...</a>"}
 //	    -> {"conflict": true, "method": "search", "complete": true,
 //	        "witness": "<a>...</a>", "candidates": 712, "elapsed_us": 3100}
 //
@@ -24,8 +24,7 @@
 //
 //	POST /v1/analyze
 //	    {"program": "x = doc <a/>\ny = read $x//b\n...",
-//	     "semantics": "node", "max_nodes": 6, "max_candidates": 200000,
-//	     "workers": 0}
+//	     "semantics": "node", "max_nodes": 6, "max_candidates": 200000}
 //	    -> {"statements": [...], "dependences": [{"i":1,"j":2,"reason":...}],
 //	        "hoistable_reads": [...], "redundant_reads": [[0,3]],
 //	        "schedule": [[0],[1,2],...], "elapsed_us": 9000}
@@ -43,10 +42,9 @@
 // Exactly one of "insert"/"delete" must be given per detect pair. With
 // "tree" the request is a witness check on that document (Lemma 1,
 // polynomial); with "schema" the search is restricted to schema-valid
-// witnesses; with "workers" > 0 the NP-case search fans out over that
-// many goroutines. Batch pairs accept only the plain form (no
-// schema/tree/workers). All other fields bound the witness search
-// exactly like xconflict's flags.
+// witnesses. Batch pairs accept only the plain form (no schema/tree).
+// All other fields bound the witness search exactly like xconflict's
+// flags.
 //
 // Failure model: a search that exhausts its budget ("deadline_ms",
 // "max_candidates") degrades — the reply is still 200, with "complete":
@@ -126,7 +124,6 @@ type detectRequest struct {
 	DeadlineMs int    `json:"deadline_ms,omitempty"`
 	Schema     string `json:"schema,omitempty"`
 	Tree       string `json:"tree,omitempty"`
-	Workers    int    `json:"workers,omitempty"`
 }
 
 // detectResponse is the POST /v1/detect reply, stable for tooling.
@@ -150,7 +147,7 @@ type detectResponse struct {
 }
 
 // batchRequest is the POST /v1/detect/batch body: plain detect pairs
-// only (no schema/tree/workers per pair). DeadlineMs bounds the whole
+// only (no schema/tree per pair). DeadlineMs bounds the whole
 // batch's wall-clock time; pairs that run out answer "complete": false
 // with "reason": "deadline".
 type batchRequest struct {
@@ -172,7 +169,6 @@ type analyzeRequest struct {
 	MaxNodes      int    `json:"max_nodes,omitempty"`
 	MaxCandidates int    `json:"max_candidates,omitempty"`
 	DeadlineMs    int    `json:"deadline_ms,omitempty"`
-	Workers       int    `json:"workers,omitempty"`
 }
 
 // analyzeDependence is one edge of the dependence relation.
@@ -592,9 +588,9 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var opts xmlconflict.SearchOptions
 	deadlineMs := req.DeadlineMs
 	for i, p := range req.Pairs {
-		if p.Schema != "" || p.Tree != "" || p.Workers != 0 {
+		if p.Schema != "" || p.Tree != "" {
 			writeErr(w, http.StatusBadRequest, "bad-request",
-				fmt.Sprintf("pair %d: schema/tree/workers are not supported in batches", i))
+				fmt.Sprintf("pair %d: schema/tree are not supported in batches", i))
 			return
 		}
 		item, bounds, err := s.parsePair(p)
@@ -699,10 +695,6 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	workers := req.Workers
-	if workers <= 0 {
-		workers = cap(s.pool)
-	}
 	search := xmlconflict.SearchOptions{
 		MaxNodes:      req.MaxNodes,
 		MaxCandidates: req.MaxCandidates,
@@ -713,7 +705,7 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	aopts := xmlconflict.AnalyzeOptions{
 		Sem:     sem,
 		Search:  search,
-		Workers: workers,
+		Workers: cap(s.pool),
 		Cache:   s.cache,
 	}
 	begin := time.Now()
@@ -875,11 +867,6 @@ func (s *server) detect(ctx context.Context, req detectRequest) (detectResponse,
 		}
 		sch.Instrument(s.metrics)
 		v, err = xmlconflict.DetectUnderSchema(read, upd, sem, sch, opts)
-		if err != nil {
-			return detectResponse{}, http.StatusUnprocessableEntity, err
-		}
-	} else if req.Workers > 0 {
-		v, err = xmlconflict.DetectParallel(read, upd, sem, opts, req.Workers)
 		if err != nil {
 			return detectResponse{}, http.StatusUnprocessableEntity, err
 		}

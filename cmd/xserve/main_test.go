@@ -108,6 +108,7 @@ func TestDetectBadRequests(t *testing.T) {
 		`{"read":"///","insert":"//B"}`,                // bad xpath
 		`{"read":"//A","insert":"//B","semantics":"bogus"}`,
 		`{"read":"//A","insert":"//B","unknown_field":1}`,
+		`{"read":"//A[B]","insert":"//B","workers":2}`, // the parallel search is gone
 	} {
 		resp, data := postDetect(t, ts.URL, body)
 		if resp.StatusCode != http.StatusBadRequest {

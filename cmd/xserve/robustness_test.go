@@ -221,7 +221,7 @@ func TestBatchDetectRejections(t *testing.T) {
 		{`{"pairs":[]}`, "non-empty"},
 		{`{"pairs":[{"read":"//A","insert":"//B","tree":"<a/>"}]}`, "pair 0"},
 		{`{"pairs":[{"read":"//A","insert":"//B","schema":"root a"}]}`, "pair 0"},
-		{`{"pairs":[{"read":"//A","insert":"//B","workers":2}]}`, "pair 0"},
+		{`{"pairs":[{"read":"//A","insert":"//B","workers":2}]}`, "unknown field"},
 		{`{"pairs":[{"read":"//A","insert":"//B"},{"read":"//A"}]}`, "pair 1"},
 	} {
 		resp, data := postJSON(t, ts.URL+"/v1/detect/batch", tc.body)
@@ -238,7 +238,7 @@ func TestAnalyzeEndpoint(t *testing.T) {
 	_, ts := testServer(t, 2)
 	// The Section 1 imperative fragment: the //C read depends on the
 	// insert, the //A read does not.
-	body := `{"program":"x = doc <x><B/><A/></x>\ny = read $x//A\ninsert $x/B, <C/>\nz = read $x//C\n","workers":2}`
+	body := `{"program":"x = doc <x><B/><A/></x>\ny = read $x//A\ninsert $x/B, <C/>\nz = read $x//C\n"}`
 	resp, data := postJSON(t, ts.URL+"/v1/analyze", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, data)
@@ -271,14 +271,21 @@ func TestAnalyzeEndpoint(t *testing.T) {
 
 func TestAnalyzeEndpointRejections(t *testing.T) {
 	_, ts := testServer(t, 1)
-	for _, body := range []string{
-		`{}`,                               // no program
-		`{"program":"x = doc <a/>\nboom"}`, // parse error
-		`{"program":"x = doc <a/>","semantics":"?"}`, // bad semantics
+	for _, tc := range []struct {
+		body, wantErr string
+	}{
+		{`{}`, "program"},
+		{`{"program":"x = doc <a/>\nboom"}`, "program:"},
+		{`{"program":"x = doc <a/>","semantics":"?"}`, "semantics"},
+		// The fan-out is the pool's size, not the caller's choice.
+		{`{"program":"x = doc <a/>","workers":2}`, "unknown field"},
 	} {
-		resp, data := postJSON(t, ts.URL+"/v1/analyze", body)
+		resp, data := postJSON(t, ts.URL+"/v1/analyze", tc.body)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("body %q: status = %d (%s), want 400", body, resp.StatusCode, data)
+			t.Fatalf("body %q: status = %d (%s), want 400", tc.body, resp.StatusCode, data)
+		}
+		if !strings.Contains(string(data), tc.wantErr) {
+			t.Fatalf("body %q: error %q does not mention %q", tc.body, data, tc.wantErr)
 		}
 	}
 }

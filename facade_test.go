@@ -189,8 +189,7 @@ func findSpans(v span.SpanView, name string) []span.SpanView {
 }
 
 // TestObservabilityFacade exercises the telemetry surface end to end:
-// stats, span traces, progress reporting, the parallel searcher's
-// deterministic witness, and observed shrinking.
+// stats, span traces, progress reporting, and observed shrinking.
 func TestObservabilityFacade(t *testing.T) {
 	read := xmlconflict.Read{P: xmlconflict.MustParseXPath("a[q]/b")}
 	ins := xmlconflict.Insert{
@@ -241,26 +240,6 @@ func TestObservabilityFacade(t *testing.T) {
 	}
 	if !strings.Contains(treeBuf.String(), "search +") || !strings.Contains(progBuf.String(), "search:") {
 		t.Fatalf("text outputs missing:\n%s\n%s", treeBuf.String(), progBuf.String())
-	}
-
-	// DetectParallel returns the canonical (sequential) witness; its
-	// search span says where that witness sits in the enumeration.
-	seq, err := xmlconflict.Detect(read, ins, xmlconflict.NodeSemantics, xmlconflict.SearchOptions{MaxNodes: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pctx, ptr := xmlconflict.StartTrace(context.Background(), "parallel")
-	par, err := xmlconflict.DetectParallel(read, ins, xmlconflict.NodeSemantics, xmlconflict.SearchOptions{MaxNodes: 4}.WithContext(pctx), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !par.Conflict || !xmlconflict.Isomorphic(seq.Witness, par.Witness) {
-		t.Fatalf("parallel witness not canonical: seq %s par %s", seq.Witness, par.Witness)
-	}
-	ptr.Finish()
-	ps := findSpans(ptr.View().Root, "search")
-	if len(ps) != 1 || ps[0].Attrs["witness_seq"] != int64(seq.Candidates) || ps[0].Attrs["raced_past"] == nil {
-		t.Fatalf("parallel search span: %+v (sequential witness at %d)", ps, seq.Candidates)
 	}
 
 	// Observed shrinking reports through the same channels.

@@ -6,29 +6,22 @@ import (
 	"xmlconflict/internal/telemetry"
 )
 
-// instr bundles the per-call counter and progress channels drawn from
-// SearchOptions (decisions go to spans, see spans.go). The nil *instr is
-// fully disabled and every method is nil-safe, so instrumented hot paths
-// pay a single pointer check per site when telemetry is off.
+// instr is the per-call counter channel drawn from SearchOptions
+// (decisions go to spans, see spans.go; progress to
+// SearchOptions.Progress). The nil *instr is fully disabled and every
+// method is nil-safe, so instrumented hot paths pay a single pointer
+// check per site when telemetry is off.
 type instr struct {
-	m  *telemetry.Metrics
-	pr *telemetry.Progress
+	m *telemetry.Metrics
 }
 
-// observer extracts the instrumentation bundle from opts, or nil when
-// every channel is disabled.
+// observer extracts the counter channel from opts, or nil when it is
+// disabled.
 func observer(opts SearchOptions) *instr {
-	if opts.Stats == nil && opts.Progress == nil {
+	if opts.Stats == nil {
 		return nil
 	}
-	return &instr{m: opts.Stats, pr: opts.Progress}
-}
-
-func (in *instr) metrics() *telemetry.Metrics {
-	if in == nil {
-		return nil
-	}
-	return in.m
+	return &instr{m: opts.Stats}
 }
 
 func (in *instr) count(name string, n int64) {
@@ -40,24 +33,6 @@ func (in *instr) count(name string, n int64) {
 func (in *instr) gaugeMax(name string, v int64) {
 	if in != nil {
 		in.m.Gauge(name).SetMax(v)
-	}
-}
-
-func (in *instr) progressStart(phase string, total int64) {
-	if in != nil {
-		in.pr.Start(phase, total)
-	}
-}
-
-func (in *instr) progressStep(n int64) {
-	if in != nil {
-		in.pr.Step(n)
-	}
-}
-
-func (in *instr) progressFinish() {
-	if in != nil {
-		in.pr.Finish()
 	}
 }
 

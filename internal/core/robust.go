@@ -39,24 +39,6 @@ const (
 	ReasonNoBound = "no-witness-bound"
 )
 
-// incompleteReason derives the Reason for a negative search verdict
-// from which limit ended the sweep. Priority follows causality: the
-// limit that actually stopped the enumeration wins over the node cap,
-// which only widens the space that was never entered.
-func incompleteReason(truncated, deadlined, starved bool, maxNodes, bound int) string {
-	switch {
-	case truncated:
-		return ReasonCandidateCap
-	case deadlined:
-		return ReasonDeadline
-	case starved:
-		return ReasonStepBudget
-	case maxNodes < bound:
-		return ReasonNodeCap
-	}
-	return ""
-}
-
 // StepBudget is a shared, concurrency-safe budget on search work: each
 // candidate a bounded search examines consumes one step. Unlike
 // MaxCandidates (a per-search cap) one budget can be threaded through a

@@ -77,11 +77,6 @@ func (o SearchOptions) canceled() error {
 	return o.Ctx.Err()
 }
 
-// cancelCheckInterval is how many candidates a bounded search examines
-// between context polls: cheap enough to keep cancellation latency in the
-// microseconds without a per-candidate atomic load.
-const cancelCheckInterval = 64
-
 // DefaultMaxCandidates is the candidate cap applied when
 // SearchOptions.MaxCandidates is zero.
 const DefaultMaxCandidates = 1_000_000
@@ -99,13 +94,13 @@ func WitnessBound(r ops.Read, u ops.Update) int {
 // size at most the Lemma 11 bound exists. The running time is exponential
 // in the bound, which is exactly the complexity shape the paper proves
 // unavoidable (unless P = NP) for branching patterns.
-func SearchConflict(r ops.Read, u ops.Update, sem ops.Semantics, opts SearchOptions) (verdict Verdict, rerr error) {
-	in := observer(opts)
+func SearchConflict(r ops.Read, u ops.Update, sem ops.Semantics, opts SearchOptions) (Verdict, error) {
+	m := opts.Stats
 	// Minimization preserves [[p]](t) on every tree (homomorphism-
 	// witnessed redundancy only), so the minimized instance has exactly
 	// the same conflicts — with a smaller Lemma 11 bound and alphabet.
-	r = ops.Read{P: containment.MinimizeStats(r.P, in.metrics())}
-	u = minimizeUpdateStats(u, in.metrics())
+	r = ops.Read{P: containment.MinimizeStats(r.P, m)}
+	u = minimizeUpdateStats(u, m)
 	bound := WitnessBound(r, u)
 	maxNodes := opts.MaxNodes
 	if maxNodes <= 0 || maxNodes > bound {
@@ -115,104 +110,23 @@ func SearchConflict(r ops.Read, u ops.Update, sem ops.Semantics, opts SearchOpti
 	if labels == nil {
 		labels = SearchAlphabet(r, u)
 	}
-	maxCand := opts.MaxCandidates
-	if maxCand <= 0 {
-		maxCand = DefaultMaxCandidates
-	}
-	sp := startSearchSpan(opts, bound, maxNodes, maxCand, len(labels), 1)
-	defer func() { EndSearchSpan(sp, verdict, rerr) }()
-	in.progressStart("search", int64(maxCand))
-
-	checker := ops.NewChecker(sem, r, u, opts.Patterns, in.metrics())
-	var witness *xmltree.Tree
-	var checkErr error
-	examined := 0
-	truncated, deadlined, starved, canceled := false, false, false, false
-	EnumerateTrees(labels, maxNodes, func(t *xmltree.Tree) bool {
-		if examined%cancelCheckInterval == 0 {
-			if err := opts.canceled(); err != nil {
-				checkErr = fmt.Errorf("core: search canceled: %w", err)
-				canceled = true
-				in.count("search.canceled", 1)
-				return false
-			}
-			if opts.expired() {
-				deadlined = true
-				in.count("search.deadline", 1)
-				return false
-			}
-		}
-		if examined >= maxCand {
-			truncated = true
-			return false
-		}
-		if !opts.Steps.Take() {
-			starved = true
-			in.count("search.step_budget", 1)
-			return false
-		}
-		examined++
-		in.progressStep(1)
-		ok, err := checker.Witness(t)
-		if err != nil {
-			checkErr = err
-			return false
-		}
-		if ok {
-			witness = t
-			return false
-		}
-		return true
-	})
-	in.progressFinish()
-	in.count("search.candidates", int64(examined))
-	if opts.Patterns == nil {
+	checker := ops.NewChecker(sem, r, u, opts.Patterns, m)
+	v, err := Sweep{
+		Method: "search", Counters: "search",
+		Found: "witness found", None: "no witness among %d trees of <= %d nodes",
+		Bound: bound, MaxNodes: maxNodes, Alphabet: len(labels),
+		Enumerate: func(yield func(*xmltree.Tree) bool) { EnumerateTrees(labels, maxNodes, yield) },
+		Check:     checker.Witness,
+	}.Run(opts)
+	if opts.Patterns == nil && m != nil {
 		// A shared pattern cache accumulates counts across callers; the
 		// holder (the DetectorCache) reports them instead, so a per-search
 		// dump here would double-count.
-		if hits, misses := checker.CacheCounts(); in != nil {
-			in.count("match.cache_hits", hits)
-			in.count("match.cache_misses", misses)
-		}
+		hits, misses := checker.CacheCounts()
+		m.Add("match.cache_hits", hits)
+		m.Add("match.cache_misses", misses)
 	}
-	if canceled {
-		// The error is authoritative; the verdict labels the partial
-		// sweep for callers assembling well-formed partial results.
-		return Verdict{
-			Method:     "search",
-			Reason:     ReasonCanceled,
-			Detail:     fmt.Sprintf("search canceled after %d candidates", examined),
-			Candidates: examined,
-		}, checkErr
-	}
-	if checkErr != nil {
-		return Verdict{}, checkErr
-	}
-	if witness != nil {
-		return Verdict{
-			Conflict:   true,
-			Witness:    witness,
-			Method:     "search",
-			Complete:   true,
-			Detail:     fmt.Sprintf("witness found after %d candidates", examined),
-			Candidates: examined,
-		}, nil
-	}
-	reason := incompleteReason(truncated, deadlined, starved, maxNodes, bound)
-	complete := reason == ""
-	if truncated {
-		in.count("search.truncated", 1)
-	}
-	detail := fmt.Sprintf("no witness among %d trees of <= %d nodes", examined, maxNodes)
-	switch {
-	case truncated:
-		detail = fmt.Sprintf("search truncated at %d candidates (bound %d nodes)", maxCand, maxNodes)
-	case deadlined:
-		detail = fmt.Sprintf("deadline passed after %d candidates (bound %d nodes)", examined, maxNodes)
-	case starved:
-		detail = fmt.Sprintf("step budget exhausted after %d candidates (bound %d nodes)", examined, maxNodes)
-	}
-	return Verdict{Method: "search", Complete: complete, Reason: reason, Detail: detail, Candidates: examined}, nil
+	return v, err
 }
 
 // minimizeUpdate rebuilds an update with its pattern minimized.
@@ -266,16 +180,9 @@ func SearchAlphabet(r ops.Read, u ops.Update) []string {
 // once, in order of increasing size. Enumeration stops when fn returns
 // false. Candidate trees are freshly built; fn may retain them.
 func EnumerateTrees(labels []string, maxNodes int, fn func(*xmltree.Tree) bool) {
-	enumerateSkeletons(labels, maxNodes, func(t *encTree) bool { return fn(t.build(labels)) })
-}
-
-// enumerateSkeletons streams the canonical skeletons without building
-// xmltree values; skeletons are immutable and safe to hand to other
-// goroutines (the parallel searcher builds them worker-side).
-func enumerateSkeletons(labels []string, maxNodes int, fn func(*encTree) bool) {
 	e := &treeEnum{labels: labels}
 	for s := 1; s <= maxNodes; s++ {
-		if !e.stream(s, fn) {
+		if !e.stream(s, func(t *encTree) bool { return fn(t.build(labels)) }) {
 			return
 		}
 	}

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"xmlconflict/internal/ops"
+	"xmlconflict/internal/telemetry"
 	"xmlconflict/internal/xmltree"
 	"xmlconflict/internal/xpath"
 )
@@ -103,8 +107,8 @@ func TestSearchConflictNegativeComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Conflict {
-		t.Fatalf("false conflict: %v", v)
+	if v.Conflict || !v.Complete {
+		t.Fatalf("want a complete negative: %v", v)
 	}
 }
 
@@ -135,5 +139,104 @@ func TestSearchAlphabet(t *testing.T) {
 	}
 	if len(labels) != 5 {
 		t.Fatalf("alphabet should have exactly one fresh symbol: %v", labels)
+	}
+}
+
+func TestSearchConflictErrorPropagation(t *testing.T) {
+	// A delete pattern selecting the root errors during checking.
+	r := ops.Read{P: xpath.MustParse("a[b]/c")}
+	bad := ops.Delete{P: xpath.MustParse("a")}
+	if _, err := SearchConflict(r, bad, ops.NodeSemantics, SearchOptions{MaxNodes: 3}); err == nil {
+		t.Fatalf("bad delete accepted")
+	}
+}
+
+// TestSweepBudgetContract: every sweep tests the candidate cap before it
+// charges a step, so a cap of 5 examines, counts, charges and reports
+// (verdict, detail, counter, search span) exactly 5 candidates. The schema-aware sweep is held to the same
+// contract by TestSchemaSearchCandidateCap.
+func TestSweepBudgetContract(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		counters string
+		run      func(SearchOptions) (Verdict, error)
+	}{
+		{"read-delete", "search", func(o SearchOptions) (Verdict, error) {
+			return SearchConflict(ops.Read{P: xpath.MustParse("a[b][c]/d")}, mustDelete("z/w"), ops.NodeSemantics, o)
+		}},
+		{"update-update", "updupd", func(o SearchOptions) (Verdict, error) {
+			// Not independent (the insert adds the delete's points), and
+			// the smallest witness has three nodes: the cap stops first.
+			return UpdateUpdateConflict(mustInsert("/r/a/b", "<x/>"), mustDelete("/r/a/b/x"), o)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			st := telemetry.New()
+			steps := NewStepBudget(100)
+			opts, tr := traced(SearchOptions{MaxNodes: 8, MaxCandidates: 5, Steps: steps}.WithStats(st))
+			v, err := c.run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sp := onlySpan(t, tr, "search"); sp.Attrs["candidates"] != 5 || sp.Attrs["reason"] != ReasonCandidateCap {
+				t.Fatalf("search span: %+v", sp.Attrs)
+			}
+			if v.Conflict || v.Complete || v.Reason != ReasonCandidateCap || v.Candidates != 5 {
+				t.Fatalf("capped sweep: %+v, want 5 candidates and reason %q", v, ReasonCandidateCap)
+			}
+			if !strings.Contains(v.Detail, " 5 candidates") {
+				t.Fatalf("detail %q does not report 5 candidates", v.Detail)
+			}
+			snap := st.Snapshot()
+			if got := snap.Counter(c.counters + ".candidates"); got != 5 {
+				t.Fatalf("%s.candidates = %d, want 5", c.counters, got)
+			}
+			if got := snap.Counter(c.counters + ".truncated"); got != 1 {
+				t.Fatalf("%s.truncated = %d, want 1", c.counters, got)
+			}
+			if spent := 100 - steps.Remaining(); spent != 5 {
+				t.Fatalf("step budget charged %d steps, want 5", spent)
+			}
+		})
+	}
+}
+
+// TestSearchConcurrentSharedStats drives searches from many goroutines
+// at once over one shared Stats registry: the scenario the race
+// detector must bless (CI runs the suite under -race).
+func TestSearchConcurrentSharedStats(t *testing.T) {
+	r := ops.Read{P: xpath.MustParse("a[q]/b")}
+	ins := mustInsert("a", "<b/>")
+	st := telemetry.New()
+	opts := SearchOptions{MaxNodes: 4}.WithStats(st)
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	total := make([]int, 8)
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			v, err := SearchConflict(r, ins, ops.NodeSemantics, opts)
+			if err == nil && !v.Conflict {
+				err = fmt.Errorf("goroutine %d: no conflict: %+v", i, v)
+			}
+			if err != nil {
+				errs <- err
+				return
+			}
+			total[i] = v.Candidates
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, n := range total {
+		want += n
+	}
+	if got := st.Snapshot().Counter("search.candidates"); got != int64(want) || got == 0 {
+		t.Fatalf("shared stats recorded %d candidates, the verdicts %d", got, want)
 	}
 }

@@ -16,28 +16,10 @@ import (
 // the context every hook is one nil check and builds no attribute, so
 // untraced library calls (and the benchmarks) pay nothing.
 
-// startSearchSpan opens the "search" child carrying the bounds the
-// sweep will run under. Returns nil (inert) when tracing is off.
-func startSearchSpan(opts SearchOptions, bound, maxNodes, maxCand, alphabet, workers int) *span.Span {
-	sp := span.FromContext(opts.Ctx).Child("search")
-	if sp == nil {
-		return nil
-	}
-	sp.Set("bound", bound)
-	sp.Set("max_nodes", maxNodes)
-	sp.Set("max_candidates", maxCand)
-	sp.Set("alphabet", alphabet)
-	if workers > 1 {
-		sp.Set("workers", workers)
-	}
-	return sp
-}
-
-// EndSearchSpan closes a search span with the sweep's outcome: budget
+// endSearchSpan closes a sweep's search span with its outcome: budget
 // spend (candidates examined), the verdict, and — for incomplete
-// sweeps — the degradation reason. The schema-aware search closes its
-// span here too.
-func EndSearchSpan(sp *span.Span, v Verdict, err error) {
+// sweeps — the degradation reason.
+func endSearchSpan(sp *span.Span, v Verdict, err error) {
 	if sp == nil {
 		return
 	}

@@ -39,7 +39,7 @@ func UpdateUpdateConflict(u1, u2 ops.Update, opts SearchOptions) (Verdict, error
 
 	// Bounded witness search for non-commutation.
 	bound := u1.Pattern().Size() * u2.Pattern().Size() *
-		(maxInt2(u1.Pattern().StarLength(), u2.Pattern().StarLength()) + 1)
+		(max(u1.Pattern().StarLength(), u2.Pattern().StarLength()) + 1)
 	maxNodes := opts.MaxNodes
 	if maxNodes <= 0 || maxNodes > bound {
 		maxNodes = bound
@@ -48,73 +48,13 @@ func UpdateUpdateConflict(u1, u2 ops.Update, opts SearchOptions) (Verdict, error
 	if labels == nil {
 		labels = updatePairAlphabet(u1, u2)
 	}
-	maxCand := opts.MaxCandidates
-	if maxCand <= 0 {
-		maxCand = DefaultMaxCandidates
-	}
-	var witness *xmltree.Tree
-	var checkErr error
-	examined := 0
-	truncated, deadlined, starved, canceled := false, false, false, false
-	EnumerateTrees(labels, maxNodes, func(t *xmltree.Tree) bool {
-		if examined%cancelCheckInterval == 0 {
-			if err := opts.canceled(); err != nil {
-				checkErr = fmt.Errorf("core: search canceled: %w", err)
-				canceled = true
-				return false
-			}
-			if opts.expired() {
-				deadlined = true
-				return false
-			}
-		}
-		if !opts.Steps.Take() {
-			starved = true
-			return false
-		}
-		examined++
-		if examined > maxCand {
-			truncated = true
-			return false
-		}
-		diff, err := ops.CommuteWitness(u1, u2, t)
-		if err != nil {
-			checkErr = err
-			return false
-		}
-		if diff {
-			witness = t
-			return false
-		}
-		return true
-	})
-	if canceled {
-		return Verdict{
-			Method:     "search",
-			Reason:     ReasonCanceled,
-			Detail:     fmt.Sprintf("search canceled after %d candidates", examined),
-			Candidates: examined,
-		}, checkErr
-	}
-	if checkErr != nil {
-		return Verdict{}, checkErr
-	}
-	if witness != nil {
-		return Verdict{
-			Conflict: true,
-			Witness:  witness,
-			Method:   "search",
-			Complete: true,
-			Detail:   fmt.Sprintf("non-commuting witness found after %d candidates", examined),
-		}, nil
-	}
-	reason := incompleteReason(truncated, deadlined, starved, maxNodes, bound)
-	return Verdict{
-		Method:   "search",
-		Complete: reason == "",
-		Reason:   reason,
-		Detail:   fmt.Sprintf("no non-commuting tree among %d candidates of <= %d nodes", examined, maxNodes),
-	}, nil
+	return Sweep{
+		Method: "search", Counters: "updupd",
+		Found: "non-commuting witness found", None: "no non-commuting tree among %d candidates of <= %d nodes",
+		Bound: bound, MaxNodes: maxNodes, Alphabet: len(labels),
+		Enumerate: func(yield func(*xmltree.Tree) bool) { EnumerateTrees(labels, maxNodes, yield) },
+		Check:     func(t *xmltree.Tree) (bool, error) { return ops.CommuteWitness(u1, u2, t) },
+	}.Run(opts)
 }
 
 // identicalUpdates reports that u1 and u2 denote the same operation:
@@ -236,11 +176,4 @@ func updatePairAlphabet(u1, u2 ops.Update) []string {
 	}
 	sort.Strings(labels)
 	return labels
-}
-
-func maxInt2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

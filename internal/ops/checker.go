@@ -14,9 +14,8 @@ import (
 // match.Cache shared across every candidate (and across the search's
 // final re-verification), instead of being re-interpreted per tree.
 //
-// A Checker is safe for concurrent use; the parallel searcher shares one
-// across its workers. Metrics (optional, nil = disabled) record checks
-// performed and compiled evaluations served.
+// A Checker is safe for concurrent use. Metrics (optional, nil =
+// disabled) record checks performed and compiled evaluations served.
 type Checker struct {
 	sem   Semantics
 	r     Read

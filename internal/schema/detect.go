@@ -2,7 +2,6 @@ package schema
 
 import (
 	"fmt"
-	"time"
 
 	"xmlconflict/internal/core"
 	"xmlconflict/internal/ops"
@@ -59,104 +58,22 @@ func DetectUnderSchema(r ops.Read, u ops.Update, sem ops.Semantics, s *Schema, o
 	if maxNodes <= 0 {
 		maxNodes = core.WitnessBound(r, u) // heuristic only: no proven bound under schemas
 	}
-	maxCand := opts.MaxCandidates
-	if maxCand <= 0 {
-		maxCand = core.DefaultMaxCandidates
-	}
-	if ssp := span.FromContext(opts.Ctx).Child("search"); ssp != nil {
-		ssp.Set("max_nodes", maxNodes)
-		ssp.Set("max_candidates", maxCand)
-		ssp.Set("schema", true)
-		defer func() { core.EndSearchSpan(ssp, v, err) }()
-	}
-	opts.Progress.Start("schema-search", int64(maxCand))
 	checker := ops.NewChecker(sem, r, u, nil, m)
-	var witness *xmltree.Tree
-	var checkErr error
-	examined := 0
-	truncated, deadlined, starved, canceled := false, false, false, false
-	s.EnumerateValid(maxNodes, func(t *xmltree.Tree) bool {
-		if examined%64 == 0 {
-			if opts.Ctx != nil {
-				if err := opts.Ctx.Err(); err != nil {
-					checkErr = fmt.Errorf("schema: search canceled: %w", err)
-					canceled = true
-					return false
-				}
-			}
-			if !opts.Deadline.IsZero() && !time.Now().Before(opts.Deadline) {
-				deadlined = true
-				return false
-			}
-		}
-		if examined >= maxCand {
-			truncated = true
-			return false
-		}
-		if !opts.Steps.Take() {
-			starved = true
-			return false
-		}
-		examined++
-		opts.Progress.Step(1)
-		ok, err := checker.Witness(t)
-		if err != nil {
-			checkErr = err
-			return false
-		}
-		if ok {
-			witness = t
-			return false
-		}
-		return true
-	})
-	opts.Progress.Finish()
-	m.Add("schema.candidates", int64(examined))
+	// Never complete (Bound 0): the schema-aware witness-size bound is
+	// the paper's open problem. The reason says which limit ended the
+	// sweep, so callers can tell a budgeted answer from the intrinsic one.
+	v, err = core.Sweep{
+		Method: "schema-search", Counters: "schema",
+		Found: "valid witness found", None: "no valid witness among %d trees of <= %d nodes",
+		MaxNodes: maxNodes, Schema: true,
+		Enumerate: func(yield func(*xmltree.Tree) bool) { s.EnumerateValid(maxNodes, yield) },
+		Check:     checker.Witness,
+	}.Run(opts)
 	if hits, misses := checker.CacheCounts(); hits+misses > 0 {
 		m.Add("match.cache_hits", hits)
 		m.Add("match.cache_misses", misses)
 	}
-	if canceled {
-		return core.Verdict{
-			Method:     "schema-search",
-			Reason:     core.ReasonCanceled,
-			Detail:     fmt.Sprintf("search canceled after %d candidates", examined),
-			Candidates: examined,
-		}, checkErr
-	}
-	if checkErr != nil {
-		return core.Verdict{}, checkErr
-	}
-	if witness != nil {
-		return core.Verdict{
-			Conflict:   true,
-			Witness:    witness,
-			Method:     "schema-search",
-			Complete:   true,
-			Detail:     fmt.Sprintf("valid witness found after %d candidates", examined),
-			Candidates: examined,
-		}, nil
-	}
-	if truncated {
-		m.Add("schema.truncated", 1)
-	}
-	// Never complete: the schema-aware witness-size bound is the paper's
-	// open problem. The reason says which limit actually ended the sweep
-	// so callers can tell a budgeted answer from the intrinsic one.
-	reason := core.ReasonNoBound
-	detail := fmt.Sprintf("no valid witness among %d trees of <= %d nodes", examined, maxNodes)
-	switch {
-	case truncated:
-		reason = core.ReasonCandidateCap
-		detail = fmt.Sprintf("search truncated at %d candidates (bound %d nodes)", maxCand, maxNodes)
-	case deadlined:
-		reason = core.ReasonDeadline
-		detail = fmt.Sprintf("deadline passed after %d candidates (bound %d nodes)", examined, maxNodes)
-	case starved:
-		reason = core.ReasonStepBudget
-		detail = fmt.Sprintf("step budget exhausted after %d candidates (bound %d nodes)", examined, maxNodes)
-	}
-	return core.Verdict{Method: "schema-search", Complete: false, Reason: reason, Detail: detail, Candidates: examined}, nil
+	return v, err
 }
 
 // ValidityPreserving searches for a schema-valid document that the update
@@ -169,33 +86,15 @@ func (s *Schema) ValidityPreserving(u ops.Update, maxNodes, maxCandidates int) (
 	if maxNodes <= 0 {
 		maxNodes = 2 * u.Pattern().Size()
 	}
-	if maxCandidates <= 0 {
-		maxCandidates = core.DefaultMaxCandidates
+	res := core.Sweep{
+		Enumerate: func(yield func(*xmltree.Tree) bool) { s.EnumerateValid(maxNodes, yield) },
+		Check: func(t *xmltree.Tree) (bool, error) {
+			after, err := ops.ApplyCopy(u, t)
+			return err == nil && !s.Valid(after), err
+		},
+	}.Loop(core.SearchOptions{MaxCandidates: maxCandidates})
+	if res.Err != nil {
+		return false, nil, res.Err
 	}
-	var witness *xmltree.Tree
-	var applyErr error
-	examined := 0
-	s.EnumerateValid(maxNodes, func(t *xmltree.Tree) bool {
-		examined++
-		if examined > maxCandidates {
-			return false
-		}
-		after, err := ops.ApplyCopy(u, t)
-		if err != nil {
-			applyErr = err
-			return false
-		}
-		if !s.Valid(after) {
-			witness = t
-			return false
-		}
-		return true
-	})
-	if applyErr != nil {
-		return false, nil, applyErr
-	}
-	if witness != nil {
-		return false, witness, nil
-	}
-	return true, nil, nil
+	return res.Witness == nil, res.Witness, nil
 }

@@ -619,17 +619,16 @@ func (s *Store) CreateCtx(ctx context.Context, id, xml string) (Result, error) {
 	locked := true
 	defer s.guardCommit(&locked)
 	unlock := func() { locked = false; s.mu.Unlock() }
+	reply := func(err error) error { locked = false; return s.settle(sp, err) }
 	if s.closed {
 		unlock()
 		return Result{}, ErrClosed
 	}
 	if _, ok := s.docs[id]; ok {
-		unlock()
-		return Result{}, fmt.Errorf("store: doc %q: %w", id, ErrExists)
+		return Result{}, reply(fmt.Errorf("store: doc %q: %w", id, ErrExists))
 	}
 	lsn := s.lsn + 1
-	n, err := s.append(record{LSN: lsn, Type: "create", Doc: id, XML: canonical, Digest: digest}, sp)
-	if err != nil {
+	if err := s.append(record{LSN: lsn, Type: "create", Doc: id, XML: canonical, Digest: digest}, sp); err != nil {
 		unlock()
 		sp.Fail(err)
 		return Result{}, err
@@ -638,9 +637,7 @@ func (s *Store) CreateCtx(ctx context.Context, id, xml string) (Result, error) {
 	s.advanceLSNLocked(lsn)
 	s.m.Gauge("store.docs").Set(int64(len(s.docs)))
 	s.maybeSnapshotLocked()
-	unlock()
-
-	if err := s.awaitDurable(n, sp); err != nil {
+	if err := reply(nil); err != nil {
 		return Result{}, err
 	}
 	sp.Set("lsn", lsn)
@@ -650,7 +647,8 @@ func (s *Store) CreateCtx(ctx context.Context, id, xml string) (Result, error) {
 // Get returns the current state of a document. It captures the current
 // version under s.mu and serializes it after unlocking: versions are
 // immutable, so commits may proceed meanwhile. Under FsyncAlways it
-// replies only once the writes that reveal the version are durable.
+// replies, ErrNotFound included, only once the writes that reveal the
+// answer are durable.
 func (s *Store) Get(id string) (Info, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -659,12 +657,10 @@ func (s *Store) Get(id string) (Info, error) {
 	}
 	d, ok := s.docs[id]
 	if !ok {
-		s.mu.Unlock()
-		return Info{}, fmt.Errorf("store: doc %q: %w", id, ErrNotFound)
+		return Info{}, s.settle(nil, fmt.Errorf("store: doc %q: %w", id, ErrNotFound))
 	}
-	tree, info, n := d.tree, Info{Doc: id, LSN: d.lsn, Digest: d.digest}, s.w.pending()
-	s.mu.Unlock()
-	if err := s.awaitDurable(n, nil); err != nil {
+	tree, info := d.tree, Info{Doc: id, LSN: d.lsn, Digest: d.digest}
+	if err := s.settle(nil, nil); err != nil {
 		return Info{}, err
 	}
 	info.XML, info.Size = tree.XML(), tree.Size()
@@ -687,17 +683,16 @@ func (s *Store) DropCtx(ctx context.Context, id string) (Result, error) {
 	locked := true
 	defer s.guardCommit(&locked)
 	unlock := func() { locked = false; s.mu.Unlock() }
+	reply := func(err error) error { locked = false; return s.settle(sp, err) }
 	if s.closed {
 		unlock()
 		return Result{}, ErrClosed
 	}
 	if _, ok := s.docs[id]; !ok {
-		unlock()
-		return Result{}, fmt.Errorf("store: doc %q: %w", id, ErrNotFound)
+		return Result{}, reply(fmt.Errorf("store: doc %q: %w", id, ErrNotFound))
 	}
 	lsn := s.lsn + 1
-	n, err := s.append(record{LSN: lsn, Type: "drop", Doc: id}, sp)
-	if err != nil {
+	if err := s.append(record{LSN: lsn, Type: "drop", Doc: id}, sp); err != nil {
 		unlock()
 		sp.Fail(err)
 		return Result{}, err
@@ -706,9 +701,7 @@ func (s *Store) DropCtx(ctx context.Context, id string) (Result, error) {
 	s.advanceLSNLocked(lsn)
 	s.m.Gauge("store.docs").Set(int64(len(s.docs)))
 	s.maybeSnapshotLocked()
-	unlock()
-
-	if err := s.awaitDurable(n, sp); err != nil {
+	if err := reply(nil); err != nil {
 		return Result{}, err
 	}
 	sp.Set("lsn", lsn)
@@ -760,7 +753,8 @@ func (s *Store) submitRead(ctx context.Context, id string, op Op) (Result, error
 
 	// Admission reads the window under s.mu; the admitted version is
 	// immutable, so it is evaluated and serialized after unlocking, and
-	// once the writes that reveal it are durable.
+	// once the writes that reveal it are durable. A refusal waits the
+	// same way.
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -769,18 +763,15 @@ func (s *Store) submitRead(ctx context.Context, id string, op Op) (Result, error
 	}
 	d, ok := s.docs[id]
 	if !ok {
-		s.mu.Unlock()
-		err := fmt.Errorf("store: doc %q: %w", id, ErrNotFound)
+		err := s.settle(sp, fmt.Errorf("store: doc %q: %w", id, ErrNotFound))
 		sp.Fail(err)
 		return Result{}, err
 	}
 	if err := s.admitSpanned(sp, d, op, &rd, nil); err != nil {
-		s.mu.Unlock()
-		return Result{}, err
+		return Result{}, s.settle(sp, err)
 	}
-	tree, res, n := d.tree, Result{Doc: id, LSN: d.lsn, Digest: d.digest}, s.w.pending()
-	s.mu.Unlock()
-	if err := s.awaitDurable(n, sp); err != nil {
+	tree, res := d.tree, Result{Doc: id, LSN: d.lsn, Digest: d.digest}
+	if err := s.settle(sp, nil); err != nil {
 		return Result{}, err
 	}
 
@@ -812,6 +803,7 @@ func (s *Store) submitUpdate(ctx context.Context, id string, op Op) (Result, err
 	locked := true
 	defer s.guardCommit(&locked)
 	unlock := func() { locked = false; s.mu.Unlock() }
+	reply := func(err error) error { locked = false; return s.settle(sp, err) }
 	if s.closed {
 		unlock()
 		sp.Fail(ErrClosed)
@@ -819,21 +811,19 @@ func (s *Store) submitUpdate(ctx context.Context, id string, op Op) (Result, err
 	}
 	d, ok := s.docs[id]
 	if !ok {
-		unlock()
-		err := fmt.Errorf("store: doc %q: %w", id, ErrNotFound)
+		err := reply(fmt.Errorf("store: doc %q: %w", id, ErrNotFound))
 		sp.Fail(err)
 		return Result{}, err
 	}
 	if err := s.admitSpanned(sp, d, op, nil, u); err != nil {
-		unlock()
-		return Result{}, err
+		return Result{}, reply(err)
 	}
 	asp := sp.Child("store.apply")
 	newTree, points, digest, err := applyUpdate(d, u)
 	if err != nil {
-		unlock()
 		asp.Fail(err)
 		asp.End()
+		err = reply(err)
 		sp.Fail(err)
 		return Result{}, err
 	}
@@ -842,11 +832,10 @@ func (s *Store) submitUpdate(ctx context.Context, id string, op Op) (Result, err
 		asp.End()
 	}
 	lsn := s.lsn + 1
-	n, err := s.append(record{
+	if err := s.append(record{
 		LSN: lsn, Type: "update", Doc: id,
 		Kind: op.Kind, Pattern: op.Pattern, X: canonX, Digest: digest,
-	}, sp)
-	if err != nil {
+	}, sp); err != nil {
 		unlock()
 		sp.Fail(err)
 		return Result{}, err
@@ -854,9 +843,7 @@ func (s *Store) submitUpdate(ctx context.Context, id string, op Op) (Result, err
 	s.commitUpdate(d, lsn, op.Kind, u, newTree, digest)
 	s.m.Add("store.updates", 1)
 	s.maybeSnapshotLocked()
-	unlock()
-
-	if err := s.awaitDurable(n, sp); err != nil {
+	if err := reply(nil); err != nil {
 		return Result{}, err
 	}
 	sp.Set("lsn", lsn)
@@ -905,12 +892,12 @@ func (s *Store) admitSpanned(parent *span.Span, d *doc, op Op, rd *ops.Read, upd
 }
 
 // append encodes and appends one record under a "store.wal.append"
-// span (a child of parent) and returns its log position for
-// awaitDurable; the caller holds s.mu.
-func (s *Store) append(rec record, parent *span.Span) (uint64, error) {
+// span (a child of parent); the caller holds s.mu, and acknowledges the
+// record only through settle.
+func (s *Store) append(rec record, parent *span.Span) error {
 	payload, err := encodeRecord(rec)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	wsp := parent.Child("store.wal.append")
 	if wsp != nil {
@@ -918,7 +905,7 @@ func (s *Store) append(rec record, parent *span.Span) (uint64, error) {
 		wsp.Set("type", rec.Type)
 		wsp.Set("bytes", len(payload))
 	}
-	n, err := s.w.Append(payload)
+	_, err = s.w.Append(payload)
 	wsp.Fail(err)
 	wsp.End()
 	if err == nil {
@@ -926,7 +913,7 @@ func (s *Store) append(rec record, parent *span.Span) (uint64, error) {
 		// the frame is retained for replication shipping right here.
 		s.pushReplFrame(rec.LSN, payload)
 	}
-	return n, err
+	return err
 }
 
 // guardCommit is deferred by mutating operations while they hold s.mu.
@@ -944,6 +931,22 @@ func (s *Store) guardCommit(lockedp *bool) {
 		}
 		panic(r)
 	}
+}
+
+// settle releases s.mu, which the caller holds, and then waits for the
+// fsync covering every record written so far (wal.pending): a reply
+// built from what the caller saw under the mutex, a refusal included,
+// must not reveal a commit a crash could still lose. It returns err, or
+// the wait's failure. Only ErrClosed and a failed append, which reveal
+// no commit, release the mutex without it. LSN and FramesSince do not
+// wait either: replication ships frames before their fsync by design.
+func (s *Store) settle(sp *span.Span, err error) error {
+	n := s.w.pending()
+	s.mu.Unlock()
+	if werr := s.awaitDurable(n, sp); werr != nil {
+		return werr
+	}
+	return err
 }
 
 // awaitDurable waits, under a "store.ack" span, until log position n is
@@ -1086,11 +1089,15 @@ func (s *Store) WaitLSN(ctx context.Context, min uint64, wait time.Duration) boo
 	}
 }
 
-// Docs lists the registered document ids, sorted.
+// Docs lists the registered document ids, sorted, once the writes that
+// reveal them are durable (nil if that wait fails).
 func (s *Store) Docs() []string {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return sortedIDs(s.docs)
+	ids := sortedIDs(s.docs)
+	if s.settle(nil, nil) != nil {
+		return nil
+	}
+	return ids
 }
 
 // Close flushes and closes the WAL. Further operations fail with

@@ -411,38 +411,73 @@ func TestConcurrentCommitsShareFsync(t *testing.T) {
 
 // TestReadWaitsForCoveringFsync: a commit is visible in memory before
 // its fsync completes, because the fsync runs outside the store mutex.
-// Get and reads must still not reveal it before then: a reply that
-// showed a version a crash could still lose would break FsyncAlways's
+// No reply may reveal it before then, a refusal included: a reply that
+// showed a commit a crash could still lose would break FsyncAlways's
 // contract.
 func TestReadWaitsForCoveringFsync(t *testing.T) {
-	t.Cleanup(faultinject.Reset)
-	s := openTest(t, t.TempDir(), Options{Fsync: FsyncAlways})
-	base := mustCreate(t, s, "d", "<a/>").LSN
 	const delay = 200 * time.Millisecond
-	faultinject.Arm("store.fsync", faultinject.Fault{Kind: faultinject.KindLatency, Delay: delay, Times: 1})
-	start := time.Now()
-	go s.Submit("d", Op{Kind: "insert", Pattern: "/a", X: "<x/>"})
-	if !s.WaitLSN(context.Background(), base+1, 5*time.Second) {
-		t.Fatal("the insert never advanced the LSN")
+	// inFlight opens a store holding "d" = <a/> at lsn base, starts
+	// commit with a slow fsync, and returns once the commit is visible
+	// in memory, with the time it started.
+	inFlight := func(t *testing.T, commit func(s *Store)) (s *Store, base uint64, start time.Time) {
+		t.Cleanup(faultinject.Reset)
+		s = openTest(t, t.TempDir(), Options{Fsync: FsyncAlways})
+		base = mustCreate(t, s, "d", "<a/>").LSN
+		faultinject.Arm("store.fsync", faultinject.Fault{Kind: faultinject.KindLatency, Delay: delay, Times: 1})
+		start = time.Now()
+		go commit(s)
+		if !s.WaitLSN(context.Background(), base+1, 5*time.Second) {
+			t.Fatal("the commit never advanced the LSN")
+		}
+		return s, base, start
 	}
+	early := func(t *testing.T, start time.Time, what string) {
+		t.Helper()
+		if el := time.Since(start); el < delay {
+			t.Errorf("%s after %v, before the covering fsync", what, el)
+		}
+	}
+	insert := func(s *Store) { s.Submit("d", Op{Kind: "insert", Pattern: "/a", X: "<x/>"}) }
 
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		info, err := s.Get("d")
-		if el := time.Since(start); err == nil && info.LSN > base && el < delay {
-			t.Errorf("Get returned lsn %d after %v, before the covering fsync", info.LSN, el)
+	t.Run("get and read", func(t *testing.T) {
+		s, base, start := inFlight(t, insert)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			if info, err := s.Get("d"); err == nil && info.LSN > base {
+				early(t, start, fmt.Sprintf("Get returned lsn %d", info.LSN))
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			if res, err := s.Submit("d", Op{Kind: "read", Pattern: "/a/x"}); err == nil && res.LSN > base {
+				early(t, start, fmt.Sprintf("read returned lsn %d", res.LSN))
+			}
+		}()
+		wg.Wait()
+	})
+	t.Run("docs during create", func(t *testing.T) {
+		s, _, start := inFlight(t, func(s *Store) { s.Create("e", "<a/>") })
+		if ids := s.Docs(); len(ids) == 2 {
+			early(t, start, fmt.Sprintf("Docs listed %v", ids))
 		}
-	}()
-	go func() {
-		defer wg.Done()
-		res, err := s.Submit("d", Op{Kind: "read", Pattern: "/a/x"})
-		if el := time.Since(start); err == nil && res.LSN > base && el < delay {
-			t.Errorf("read returned lsn %d after %v, before the covering fsync", res.LSN, el)
+	})
+	t.Run("get during drop", func(t *testing.T) {
+		s, _, start := inFlight(t, func(s *Store) { s.Drop("d") })
+		if _, err := s.Get("d"); errors.Is(err, ErrNotFound) {
+			early(t, start, "Get answered ErrNotFound")
 		}
-	}()
-	wg.Wait()
+	})
+	t.Run("stale delete conflict", func(t *testing.T) {
+		s, base, start := inFlight(t, insert)
+		_, err := s.Submit("d", Op{Kind: "delete", Pattern: "/a/x", BaseLSN: base})
+		var ce *ConflictError
+		if !errors.As(err, &ce) || ce.WithLSN != base+1 {
+			t.Fatalf("stale delete: %v, want a 409 naming lsn %d", err, base+1)
+		}
+		early(t, start, fmt.Sprintf("the 409 named lsn %d", ce.WithLSN))
+	})
 }
 
 func TestClosedStore(t *testing.T) {

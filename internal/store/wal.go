@@ -206,9 +206,10 @@ func openWAL(path string, policy FsyncPolicy, m *telemetry.Metrics) (w *wal, pay
 }
 
 // Append writes one framed record and returns its position n in the
-// log. Under FsyncAlways the caller must pass n to waitDurable after
-// releasing the store lock, and acknowledge nothing before that
-// returns; under FsyncNever n is 0 and nothing waits.
+// log. Under FsyncAlways the caller must pass n, or a later position
+// such as pending's, to waitDurable after releasing the store lock, and
+// acknowledge nothing before that returns; under FsyncNever n is 0 and
+// nothing waits.
 //
 // Fault-injection sites, in write order: "store.append" before anything
 // touches the file, and "store.append.partial" between the frame header

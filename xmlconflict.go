@@ -201,22 +201,6 @@ func ReadDeleteConflictFast(readPattern *Pattern, del Delete, sem Semantics) (Ve
 	return core.ReadDeleteLinearFast(readPattern, del, sem)
 }
 
-// DetectParallel is Detect with the NP-case witness search fanned out
-// over a worker pool (0 workers = GOMAXPROCS). Linear reads still use the
-// polynomial algorithms. Verdicts — including the witness — are identical
-// to Detect's: candidates carry their canonical enumeration order, and
-// when workers race to a witness the canonically first one wins, so the
-// returned witness is deterministic. Only the incidental counts
-// (candidates examined before the enumeration halted, candidates raced
-// past — both reported in the verdict Detail and via telemetry) vary
-// between runs.
-func DetectParallel(r Read, u Update, sem Semantics, opts SearchOptions, workers int) (Verdict, error) {
-	if r.P.IsLinear() {
-		return core.Detect(r, u, sem, opts)
-	}
-	return core.SearchConflictParallel(r, u, sem, opts, workers)
-}
-
 // DetectorCache is a bounded, concurrency-safe memo of detection
 // verdicts keyed by the canonical form of (read pattern, update pattern,
 // inserted-tree shape, semantics, search bounds). Share one across
