@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,18 +26,34 @@ const DefaultDetectorCacheSize = 4096
 // DetectorCache memoizes conflict-detection verdicts for callers that
 // decide many pairs drawn from a repeating population — the O(N²)
 // pairwise loop of program.Analyze, a batch endpoint, a long-lived
-// server. It is safe for concurrent use, bounded (LRU eviction), and
-// deduplicating: concurrent lookups of the same key share one
-// computation instead of racing to repeat it.
+// server, a store's admission screen. It is safe for concurrent use,
+// bounded (LRU eviction), and deduplicating: concurrent lookups of the
+// same key share one computation instead of racing to repeat it.
 //
-// The key is the SHA-256 of the pair's canonical form — the read
-// pattern's and update pattern's canonical renderings (predicate order
-// normalized), the inserted tree's isomorphism code for inserts, the
-// conflict semantics, and the search bounds — so structurally equal
-// pairs hit regardless of which pattern objects spell them, and an entry
-// costs the same however large the insert's payload. Detection is
-// deterministic in that form, which is what makes memoization sound: a
-// hit returns exactly the verdict a fresh computation would.
+// It keeps two kinds of entry in one LRU of one capacity:
+//
+//   - a Detect verdict, keyed by the SHA-256 of the pair's canonical
+//     form — the read pattern's and update pattern's canonical
+//     renderings (predicate order normalized), the inserted tree's
+//     isomorphism code for inserts, the conflict semantics, and the
+//     search bounds;
+//   - an UpdatesIndependent answer (independent or not, and why), keyed
+//     the same way by the ordered pair's two updates and the
+//     cross-checks' defaulted bounds, after a prefix no Detect key can
+//     start with. Its two cross-checks go through Detect and are
+//     entries of their own.
+//
+// So structurally equal queries hit regardless of which pattern objects
+// spell them, and an entry costs the same however large the insert's
+// payload. Both answers are deterministic in that form, which is what
+// makes memoization sound: a hit returns exactly the answer a fresh
+// computation would.
+//
+// It keeps only definitive answers: complete verdicts, and independence
+// answers whose cross-checks found a conflict or were both complete. It
+// never keeps an error, an incomplete verdict, or a "not proven"
+// independence answer; those reach the callers already waiting on them
+// and are recomputed on the next lookup.
 //
 // Underneath, one bounded match.Cache is shared across every memoized
 // search, so compiled patterns are reused across Detect calls too.
@@ -53,14 +70,14 @@ type DetectorCache struct {
 	m            *telemetry.Metrics
 }
 
-// cacheEntry is one memoized verdict. ready is closed when the leading
-// computation finishes; until then other goroutines with the same key
-// wait on it instead of recomputing.
+// cacheEntry is one memoized answer: a Verdict, or an independence.
+// ready is closed when the leading computation finishes; until then
+// other goroutines with the same key wait on it instead of recomputing.
 type cacheEntry struct {
 	key   cacheKey
 	ready chan struct{}
-	done  bool // guarded by DetectorCache.mu; true once v/err are set
-	v     Verdict
+	done  bool // guarded by DetectorCache.mu; true once val/err are set
+	val   any
 	err   error
 }
 
@@ -86,7 +103,10 @@ func (c *DetectorCache) Instrument(m *telemetry.Metrics) { c.m = m }
 
 // Counts returns the accumulated hit and miss counts. A waiter that
 // joins an in-flight computation counts as a hit; misses therefore equal
-// the number of verdicts actually computed through the cache.
+// the number of answers actually computed through the cache. An
+// UpdatesIndependent lookup counts once, as a hit or a miss, like a
+// Detect lookup; a miss also counts its two cross-checks, which are
+// Detect lookups of their own.
 func (c *DetectorCache) Counts() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
 }
@@ -98,8 +118,7 @@ func (c *DetectorCache) Cap() int { return c.cap }
 // Detect is core.Detect memoized: on a hit the cached verdict is
 // returned without touching the decision procedures; on a miss the
 // verdict is computed (with the cache's shared compiled-pattern cache
-// wired into the search) and stored. Errors are never cached — the
-// failing key is evicted so a later call retries.
+// wired into the search) and stored if it is complete.
 func (c *DetectorCache) Detect(r ops.Read, u ops.Update, sem ops.Semantics, opts SearchOptions) (Verdict, error) {
 	key, ok := detectKey(r, u, sem, opts)
 	if !ok {
@@ -110,32 +129,65 @@ func (c *DetectorCache) Detect(r ops.Read, u ops.Update, sem ops.Semantics, opts
 		}
 		return Detect(r, u, sem, opts)
 	}
+	val, err := c.lookup(key, "detect.cached", opts, func(copts SearchOptions) (any, bool, error) {
+		copts.Patterns = c.patterns
+		v, err := Detect(r, u, sem, copts)
+		return v, v.Complete, err
+	})
+	v, _ := val.(Verdict)
+	return v, err
+}
+
+// UpdatesIndependent is core.UpdatesIndependent memoized as one entry:
+// a hit costs one key and one lookup, however the answer was reached.
+// On a miss the cross-checks go through Detect, so they share the
+// verdict cache too.
+func (c *DetectorCache) UpdatesIndependent(u1, u2 ops.Update, opts SearchOptions) (bool, string, error) {
+	key, ok := independenceKey(u1, u2, opts)
+	if !ok {
+		ind, err := updatesIndependentWith(c.Detect, u1, u2, opts)
+		return ind.ok, ind.reason, err
+	}
+	val, err := c.lookup(key, "independence.cached", opts, func(copts SearchOptions) (any, bool, error) {
+		ind, err := updatesIndependentWith(c.Detect, u1, u2, copts)
+		return ind, ind.definitive, err
+	})
+	ind, _ := val.(independence)
+	return ind.ok, ind.reason, err
+}
+
+// lookup answers key from the cache, or computes it: the first caller
+// of a key leads and runs compute, later ones wait for its answer and
+// count as hits. compute reports whether its answer is definitive;
+// complete keeps only those. If the leader fails, its waiters retry and
+// one of them leads. name labels the span a traced lookup records; the
+// leader's computation nests under it.
+func (c *DetectorCache) lookup(key cacheKey, name string, opts SearchOptions, compute func(SearchOptions) (any, bool, error)) (any, error) {
 	rsp := span.FromContext(opts.Ctx)
 	for {
 		e, leader := c.acquire(key)
 		if leader {
 			copts := opts
-			copts.Patterns = c.patterns
-			// The cache span wraps the leading computation so the detect
-			// span nests under it and the disposition reads off the tree.
-			csp := rsp.Child("detect.cached")
+			csp := rsp.Child(name)
 			if csp != nil {
 				csp.Set("disposition", "miss")
 				copts.Ctx = span.Context(copts.Ctx, csp)
 			}
-			// The leader MUST complete the entry even if detection
-			// panics: waiters block on e.ready, and an uncontained
-			// panic here would strand them forever. The recover turns
-			// the defect into a typed *InternalError that fails only
-			// this key.
-			v, err := func() (v Verdict, err error) {
+			// The leader MUST complete the entry even if the computation
+			// panics: waiters block on e.ready, and an uncontained panic
+			// here would strand them forever. The recover turns the
+			// defect into a typed *InternalError that fails only this
+			// key.
+			var keep bool
+			val, err := func() (val any, err error) {
 				defer ContainPanic("cache.leader", opts.Stats, &err)
 				if ferr := faultinject.Fire("core.cache.leader"); ferr != nil {
-					return Verdict{}, fmt.Errorf("core: cache leader: %w", ferr)
+					return nil, fmt.Errorf("core: cache leader: %w", ferr)
 				}
-				return Detect(r, u, sem, copts)
+				val, keep, err = compute(copts)
+				return val, err
 			}()
-			c.complete(e, v, err)
+			c.complete(e, val, keep, err)
 			csp.Fail(err)
 			csp.End()
 			if err != nil {
@@ -143,14 +195,14 @@ func (c *DetectorCache) Detect(r ops.Read, u ops.Update, sem ops.Semantics, opts
 				if errors.As(err, &ie) && c.m != nil && c.m != opts.Stats {
 					c.m.Add("detect.panics", 1)
 				}
-				return v, err
+				return val, err
 			}
 			c.record(&c.misses, "detector_cache.misses", opts)
-			return v, nil
+			return val, nil
 		}
 		var csp *span.Span
 		if rsp != nil {
-			// Distinguish an already-published verdict (hit) from joining
+			// Distinguish an already-published answer (hit) from joining
 			// an in-flight computation (leader-wait); the span's duration
 			// is the wait.
 			disposition := "leader-wait"
@@ -159,7 +211,7 @@ func (c *DetectorCache) Detect(r ops.Read, u ops.Update, sem ops.Semantics, opts
 				disposition = "hit"
 			default:
 			}
-			csp = rsp.Child("detect.cached")
+			csp = rsp.Child(name)
 			csp.Set("disposition", disposition)
 		}
 		var done <-chan struct{}
@@ -172,23 +224,16 @@ func (c *DetectorCache) Detect(r ops.Read, u ops.Update, sem ops.Semantics, opts
 			err := fmt.Errorf("core: detect canceled: %w", opts.Ctx.Err())
 			csp.Fail(err)
 			csp.End()
-			return Verdict{}, err
+			return nil, err
 		}
 		csp.End()
 		if e.err == nil {
 			c.record(&c.hits, "detector_cache.hits", opts)
-			return e.v, nil
+			return e.val, nil
 		}
 		// The leading computation failed (possibly its caller's context,
 		// not ours) and its entry was evicted: try again as leader.
 	}
-}
-
-// UpdatesIndependent is core.UpdatesIndependent with the read/update
-// cross-checks routed through the verdict cache, so repeated
-// update/update pairs in a program re-use the memoized detections.
-func (c *DetectorCache) UpdatesIndependent(u1, u2 ops.Update, opts SearchOptions) (bool, string, error) {
-	return updatesIndependentWith(c.Detect, u1, u2, opts)
 }
 
 // record bumps one of the cache's counters plus its telemetry mirrors.
@@ -232,16 +277,17 @@ func (c *DetectorCache) evictLocked() {
 
 // complete publishes a finished computation. Errors are not worth
 // keeping (and a context cancellation must not poison the key for later
-// callers), and incomplete verdicts must not be served from cache for
-// the process lifetime — a budget-starved "no conflict" would otherwise
-// masquerade as definitive to every later caller — so in both cases the
-// entry is evicted before waiters are released. Waiters still receive
-// this computation's outcome; only FUTURE lookups recompute.
-func (c *DetectorCache) complete(e *cacheEntry, v Verdict, err error) {
+// callers), and answers that are not definitive must not be served from
+// cache for the process lifetime — a budget-starved "no conflict" or
+// "not proven" would otherwise masquerade as definitive to every later
+// caller — so in both cases the entry is evicted before waiters are
+// released. Waiters still receive this computation's outcome; only
+// FUTURE lookups recompute.
+func (c *DetectorCache) complete(e *cacheEntry, val any, keep bool, err error) {
 	c.mu.Lock()
-	e.v, e.err = v, err
+	e.val, e.err = val, err
 	e.done = true
-	if err != nil || !v.Complete {
+	if err != nil || !keep {
 		if el, ok := c.entries[e.key]; ok && el.Value.(*cacheEntry) == e {
 			c.lru.Remove(el)
 			delete(c.entries, e.key)
@@ -251,28 +297,26 @@ func (c *DetectorCache) complete(e *cacheEntry, v Verdict, err error) {
 	close(e.ready)
 }
 
-// Len returns the number of cached verdicts (including in-flight ones).
+// Len returns the number of cached answers (including in-flight ones).
 func (c *DetectorCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
 }
 
-// cacheKey is the SHA-256 of a detection query's canonical text.
+// cacheKey is the SHA-256 of a query's canonical text.
 type cacheKey [sha256.Size]byte
 
 // detectKey canonicalizes a detection query. The second result is false
 // for update implementations outside ops.Insert/ops.Delete, which have
 // no canonical form.
 func detectKey(r ops.Read, u ops.Update, sem ops.Semantics, opts SearchOptions) (cacheKey, bool) {
-	uk, ok := updateKey(u)
-	if !ok {
-		return cacheKey{}, false
-	}
 	var b strings.Builder
 	b.WriteString(r.P.String())
 	b.WriteByte(0)
-	b.WriteString(uk)
+	if !writeUpdateKey(&b, u) {
+		return cacheKey{}, false
+	}
 	b.WriteByte(0)
 	b.WriteString(sem.String())
 	b.WriteByte(0)
@@ -280,10 +324,31 @@ func detectKey(r ops.Read, u ops.Update, sem ops.Semantics, opts SearchOptions) 
 	return sha256.Sum256([]byte(b.String())), true
 }
 
-// updateKey canonicalizes an update: kind, pattern rendering, and (for
-// inserts) the payload's isomorphism code.
-func updateKey(u ops.Update) (string, bool) {
+// independenceKey canonicalizes an UpdatesIndependent query: the
+// ordered pair's updates and the cross-checks' defaulted bounds. Its
+// text starts with "independent", and a detectKey text starts with a
+// rendered pattern, which starts with '/', so the two never collide.
+// The second result is false as detectKey's is.
+func independenceKey(u1, u2 ops.Update, opts SearchOptions) (cacheKey, bool) {
 	var b strings.Builder
+	b.WriteString("independent\x00")
+	if !writeUpdateKey(&b, u1) {
+		return cacheKey{}, false
+	}
+	b.WriteByte(0)
+	if !writeUpdateKey(&b, u2) {
+		return cacheKey{}, false
+	}
+	b.WriteByte(0)
+	writeBoundsKey(&b, independenceBounds(opts))
+	return sha256.Sum256([]byte(b.String())), true
+}
+
+// writeUpdateKey appends an update's canonical form: kind, pattern
+// rendering, and (for inserts) the payload's isomorphism code. It
+// reports false, having written nothing, for update kinds it cannot
+// canonicalize.
+func writeUpdateKey(b *strings.Builder, u ops.Update) bool {
 	switch v := u.(type) {
 	case ops.Insert:
 		b.WriteString("insert\x00")
@@ -291,23 +356,25 @@ func updateKey(u ops.Update) (string, bool) {
 		b.WriteByte(0)
 		b.WriteString(xmltree.Code(v.X.Root()))
 	case *ops.Insert:
-		return updateKey(*v)
+		return writeUpdateKey(b, *v)
 	case ops.Delete:
 		b.WriteString("delete\x00")
 		b.WriteString(v.P.String())
 	case *ops.Delete:
-		return updateKey(*v)
+		return writeUpdateKey(b, *v)
 	default:
-		return "", false
+		return false
 	}
-	return b.String(), true
+	return true
 }
 
 // writeBoundsKey appends the search bounds that shape the verdict: node
 // and candidate caps and any explicit alphabet. Telemetry channels and
 // the context do not affect verdicts and stay out of the key.
 func writeBoundsKey(b *strings.Builder, opts SearchOptions) {
-	fmt.Fprintf(b, "%d\x00%d", opts.MaxNodes, opts.MaxCandidates)
+	b.WriteString(strconv.Itoa(opts.MaxNodes))
+	b.WriteByte(0)
+	b.WriteString(strconv.Itoa(opts.MaxCandidates))
 	for _, l := range opts.Labels {
 		b.WriteByte(0)
 		b.WriteString(l)

@@ -295,3 +295,81 @@ func TestDetectorCacheEntrySizeIgnoresPayload(t *testing.T) {
 	runtime.KeepAlive(c)
 	runtime.KeepAlive(reads)
 }
+
+// TestDetectorCacheUpdatesIndependentMatchesDirect: on every ordered
+// pair of the conformance corpus's updates, the cache's first answer and
+// its next one equal core.UpdatesIndependent's. Pairs with a branching
+// update run under a small MaxCandidates, so their cross-checks search
+// and some stop short of a proof: the cache must recompute those, and
+// serve every other answer from its entry.
+func TestDetectorCacheUpdatesIndependentMatchesDirect(t *testing.T) {
+	var updates []ops.Update
+	seen := map[string]bool{}
+	for _, cc := range conformanceCorpus {
+		var u ops.Update
+		if cc.ins != "" {
+			u = ops.Insert{P: xpath.MustParse(cc.ins), X: xmltree.MustParse(cc.x)}
+		} else {
+			u = ops.Delete{P: xpath.MustParse(cc.del)}
+		}
+		if k := cc.ins + "," + cc.x + "," + cc.del; !seen[k] {
+			seen[k] = true
+			updates = append(updates, u)
+		}
+	}
+	c := NewDetectorCache(0)
+	var kept, recomputed, branching int
+	for _, u1 := range updates {
+		for _, u2 := range updates {
+			opts := SearchOptions{}
+			if !u1.Pattern().IsLinear() || !u2.Pattern().IsLinear() {
+				opts = SearchOptions{MaxNodes: 4, MaxCandidates: 64}
+				branching++
+			}
+			wantOK, wantReason, wantErr := UpdatesIndependent(u1, u2, opts)
+			for ask := 0; ask < 2; ask++ {
+				hits, misses := c.Counts()
+				ok, reason, err := c.UpdatesIndependent(u1, u2, opts)
+				if ok != wantOK || reason != wantReason || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					t.Fatalf("%s, %s ask %d: cached (%v, %q, %v), direct (%v, %q, %v)",
+						u1.Pattern(), u2.Pattern(), ask, ok, reason, err, wantOK, wantReason, wantErr)
+				}
+				if ask == 0 {
+					continue
+				}
+				h, m := c.Counts()
+				switch {
+				case h == hits+1 && m == misses:
+					kept++
+				case reason == "independence not proven (incomplete search)" && m > misses:
+					recomputed++
+				default:
+					t.Fatalf("%s, %s: second ask (%v, %q) moved hits %d→%d, misses %d→%d",
+						u1.Pattern(), u2.Pattern(), ok, reason, hits, h, misses, m)
+				}
+			}
+		}
+	}
+	t.Logf("%d updates, %d pairs (%d branching): %d answers kept, %d recomputed", len(updates), kept+recomputed, branching, kept, recomputed)
+	if recomputed == 0 || branching == 0 {
+		t.Fatalf("no pair exercised the branching cross-checks or a not-proven answer (%d branching, %d recomputed)", branching, recomputed)
+	}
+}
+
+// BenchmarkUpdatesIndependent is a cache hit for an insert–delete pair:
+// the lookup a store's admission screen makes per window entry.
+func BenchmarkUpdatesIndependent(b *testing.B) {
+	c := NewDetectorCache(0)
+	ins := ops.Insert{P: xpath.MustParse("/log/s0/b1"), X: xmltree.MustParse("<n><v/></n>")}
+	del := ops.Delete{P: xpath.MustParse("/log/s0/b3/n")}
+	if ok, reason, err := c.UpdatesIndependent(ins, del, SearchOptions{}); err != nil || !ok {
+		b.Fatalf("insert–delete pair: independent %v (%s), err %v", ok, reason, err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ok, _, err := c.UpdatesIndependent(ins, del, SearchOptions{}); err != nil || !ok {
+			b.Fatal("cached answer changed")
+		}
+	}
+}

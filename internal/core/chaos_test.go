@@ -92,56 +92,87 @@ func TestChaosBatchItemPanicContained(t *testing.T) {
 // TestChaosCacheLeaderPanicReleasesWaiters: a panic in the singleflight
 // leader must not strand the goroutines waiting on its entry — the
 // pre-containment behavior was a permanent deadlock (ready never
-// closed). Waiters retry as leader and get the real verdict.
+// closed). Waiters retry as leader and get the real answer. The same
+// holds for a composite UpdatesIndependent leader, whose panic fails
+// only its own key: the retry computes its cross-checks and keeps all
+// three entries.
 func TestChaosCacheLeaderPanicReleasesWaiters(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
-	faultinject.Arm("core.cache.leader", faultinject.Fault{
-		Kind:  faultinject.KindPanic,
-		Times: 1,
-	})
-	cache := NewDetectorCache(0)
 	items := chaosItems(t, 1)
 	opts := SearchOptions{MaxNodes: 4, MaxCandidates: 500}
-
-	const callers = 8
-	errs := make([]error, callers)
-	verdicts := make([]Verdict, callers)
-	var wg sync.WaitGroup
-	done := make(chan struct{})
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			verdicts[i], errs[i] = cache.Detect(items[0].R, items[0].U, items[0].Sem, opts)
-		}(i)
+	// Inserting <c0/> under /a changes the points of delete /a/c0.
+	del := ops.Delete{P: xpath.MustParse("/a/c0")}
+	wantOK, wantReason, err := UpdatesIndependent(items[0].U, del, opts)
+	if err != nil || wantOK {
+		t.Fatalf("direct UpdatesIndependent = %v (%s), %v; want a definitive not-independent", wantOK, wantReason, err)
 	}
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("cache waiters deadlocked after leader panic")
-	}
-
-	panics, successes := 0, 0
-	var ie *InternalError
-	for i := range errs {
-		switch {
-		case errs[i] == nil:
-			successes++
-			if !verdicts[i].Conflict || verdicts[i].Witness == nil {
-				t.Fatalf("caller %d verdict malformed after recovery: %+v", i, verdicts[i])
+	for _, tc := range []struct {
+		name string
+		ask  func(*DetectorCache) error
+		keys int // entries held once every caller returned
+	}{
+		{"detect", func(c *DetectorCache) error {
+			v, err := c.Detect(items[0].R, items[0].U, items[0].Sem, opts)
+			if err == nil && (!v.Conflict || v.Witness == nil) {
+				return fmt.Errorf("verdict malformed after recovery: %+v", v)
 			}
-		case errors.As(errs[i], &ie):
-			panics++
-		default:
-			t.Fatalf("caller %d unexpected error: %v", i, errs[i])
-		}
-	}
-	if panics != 1 {
-		t.Fatalf("contained panics = %d, want exactly 1 (Times: 1)", panics)
-	}
-	if successes != callers-1 {
-		t.Fatalf("successes = %d, want %d", successes, callers-1)
+			return err
+		}, 1},
+		{"independence", func(c *DetectorCache) error {
+			ok, reason, err := c.UpdatesIndependent(items[0].U, del, opts)
+			if err == nil && (ok != wantOK || reason != wantReason) {
+				return fmt.Errorf("answer (%v, %q) after recovery, want (%v, %q)", ok, reason, wantOK, wantReason)
+			}
+			return err
+		}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			faultinject.Reset()
+			faultinject.Arm("core.cache.leader", faultinject.Fault{
+				Kind:  faultinject.KindPanic,
+				Times: 1,
+			})
+			cache := NewDetectorCache(0)
+			const callers = 8
+			errs := make([]error, callers)
+			var wg sync.WaitGroup
+			done := make(chan struct{})
+			for i := 0; i < callers; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					errs[i] = tc.ask(cache)
+				}(i)
+			}
+			go func() { wg.Wait(); close(done) }()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("cache waiters deadlocked after leader panic")
+			}
+
+			panics, successes := 0, 0
+			var ie *InternalError
+			for i, err := range errs {
+				switch {
+				case err == nil:
+					successes++
+				case errors.As(err, &ie):
+					panics++
+				default:
+					t.Fatalf("caller %d unexpected error: %v", i, err)
+				}
+			}
+			if panics != 1 {
+				t.Fatalf("contained panics = %d, want exactly 1 (Times: 1)", panics)
+			}
+			if successes != callers-1 {
+				t.Fatalf("successes = %d, want %d", successes, callers-1)
+			}
+			if got := cache.Len(); got != tc.keys {
+				t.Fatalf("cache holds %d entries after recovery, want %d", got, tc.keys)
+			}
+		})
 	}
 }
 
@@ -182,7 +213,8 @@ func TestChaosMidBatchCancelPartialResults(t *testing.T) {
 }
 
 // TestChaosIncompleteVerdictNotCached: a budget-starved verdict must not
-// be served from cache — a later call with the same key recomputes.
+// be served from cache — a later call with the same key recomputes —
+// and neither must an UpdatesIndependent answer it left unproven.
 func TestChaosIncompleteVerdictNotCached(t *testing.T) {
 	cache := NewDetectorCache(0)
 	rp, err := xpath.Parse("/a[b]/c")
@@ -225,6 +257,39 @@ func TestChaosIncompleteVerdictNotCached(t *testing.T) {
 	}
 	if hits, misses := cache.Counts(); hits != 1 || misses != 3 {
 		t.Fatalf("hits/misses = %d/%d, want 1/3 after complete-verdict calls", hits, misses)
+	}
+
+	// An UpdatesIndependent answer left open by a starved cross-check is
+	// not cached either. Reading /a[b]/c against insert /x stops at the
+	// cap; reading /x against insert /a[b]/c is decided by the linear
+	// detector and kept. So each ask misses on the composite entry and
+	// the starved cross-check, and the second hits the kept one.
+	cache = NewDetectorCache(0)
+	u1 := ops.Insert{P: rp, X: xmltree.MustParse("<y/>")}
+	opts.MaxCandidates = 1
+	for call, want := range [][2]int64{{0, 3}, {1, 5}} {
+		ok, reason, err := cache.UpdatesIndependent(u1, u, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok || reason != "independence not proven (incomplete search)" {
+			t.Fatalf("call %d: UpdatesIndependent = %v (%s), want not proven", call+1, ok, reason)
+		}
+		if hits, misses := cache.Counts(); hits != want[0] || misses != want[1] {
+			t.Fatalf("call %d: hits/misses = %d/%d, want %d/%d (a not-proven answer must be recomputed)", call+1, hits, misses, want[0], want[1])
+		}
+	}
+	// Control: with an adequate budget the answer is definitive, kept,
+	// and the next ask is one hit.
+	opts.MaxCandidates = 100_000
+	for call, want := range [][2]int64{{1, 8}, {2, 8}} {
+		ok, _, err := cache.UpdatesIndependent(u1, u, opts)
+		if err != nil || !ok {
+			t.Fatalf("adequate budget, call %d: UpdatesIndependent = %v, %v; want independent", call+1, ok, err)
+		}
+		if hits, misses := cache.Counts(); hits != want[0] || misses != want[1] {
+			t.Fatalf("adequate budget, call %d: hits/misses = %d/%d, want %d/%d", call+1, hits, misses, want[0], want[1])
+		}
 	}
 }
 

@@ -96,7 +96,8 @@ func asInsert(u ops.Update) (ops.Insert, bool) {
 // search otherwise; an inconclusive search yields "not proven
 // independent", never a wrong "independent".
 func UpdatesIndependent(u1, u2 ops.Update, opts SearchOptions) (bool, string, error) {
-	return updatesIndependentWith(Detect, u1, u2, opts)
+	ind, err := updatesIndependentWith(Detect, u1, u2, opts)
+	return ind.ok, ind.reason, err
 }
 
 // DetectFunc is the signature of Detect; the DetectorCache substitutes
@@ -104,15 +105,33 @@ func UpdatesIndependent(u1, u2 ops.Update, opts SearchOptions) (bool, string, er
 // cache.
 type DetectFunc func(ops.Read, ops.Update, ops.Semantics, SearchOptions) (Verdict, error)
 
-// updatesIndependentWith is UpdatesIndependent with the read/update
-// cross-checks routed through detect.
-func updatesIndependentWith(detect DetectFunc, u1, u2 ops.Update, opts SearchOptions) (bool, string, error) {
+// independence is an UpdatesIndependent answer. It is definitive when
+// every later ask of the same pair under the same bounds gets it again:
+// a cross-check found a conflict, or both cross-checks were complete.
+// An answer left open by a capped, timed-out or budget-starved search
+// is not.
+type independence struct {
+	ok         bool
+	reason     string
+	definitive bool
+}
+
+// independenceBounds defaults the cross-checks' search bounds: witness
+// trees of at most 6 nodes, at most 200 000 of them per cross-check.
+func independenceBounds(opts SearchOptions) SearchOptions {
 	if opts.MaxNodes == 0 {
 		opts.MaxNodes = 6
 	}
 	if opts.MaxCandidates == 0 {
 		opts.MaxCandidates = 200_000
 	}
+	return opts
+}
+
+// updatesIndependentWith is UpdatesIndependent with the read/update
+// cross-checks routed through detect.
+func updatesIndependentWith(detect DetectFunc, u1, u2 ops.Update, opts SearchOptions) (independence, error) {
+	opts = independenceBounds(opts)
 	check := func(r, u ops.Update) (bool, bool, error) {
 		v, err := detect(ops.Read{P: r.Pattern()}, u, ops.NodeSemantics, opts)
 		if err != nil {
@@ -122,17 +141,17 @@ func updatesIndependentWith(detect DetectFunc, u1, u2 ops.Update, opts SearchOpt
 	}
 	c12, ok12, err := check(u1, u2)
 	if err != nil {
-		return false, "", err
+		return independence{}, err
 	}
 	c21, ok21, err := check(u2, u1)
 	if err != nil {
-		return false, "", err
+		return independence{}, err
 	}
 	if c12 || c21 {
-		return false, "one update can change the other's points", nil
+		return independence{reason: "one update can change the other's points", definitive: true}, nil
 	}
 	if !ok12 || !ok21 {
-		return false, "independence not proven (incomplete search)", nil
+		return independence{reason: "independence not proven (incomplete search)"}, nil
 	}
 	// With point sets order-independent, inserts at (possibly shared)
 	// points commute: each point receives both payloads either way. A
@@ -146,13 +165,13 @@ func updatesIndependentWith(detect DetectFunc, u1, u2 ops.Update, opts SearchOpt
 		fresh := freshSymbol(d.Pattern().Labels(), o.Pattern().Labels())
 		_, weak, err := MatchWeak(o.Pattern().SpinePattern(), d.Pattern().SpinePattern(), fresh)
 		if err != nil {
-			return false, "", err
+			return independence{}, err
 		}
 		if weak {
-			return false, "a deletion point may lie above the other update's points", nil
+			return independence{reason: "a deletion point may lie above the other update's points", definitive: true}, nil
 		}
 	}
-	return true, "updates cannot observe each other and no deletion covers the other's points", nil
+	return independence{ok: true, reason: "updates cannot observe each other and no deletion covers the other's points", definitive: true}, nil
 }
 
 // updatePairAlphabet is the restricted witness alphabet for an

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -79,10 +80,8 @@ func testShardFailStopIsolation(t *testing.T, site string) {
 	// The cross-shard listing still gathers the healthy shards and
 	// reports (not hides) the dead one.
 	entries, err := r.List()
-	if err == nil {
-		// Listing may succeed if the victim's in-memory doc map is
-		// still readable; what matters is the healthy docs are present.
-		t.Log("List succeeded post-kill (victim reads still served from memory)")
+	if !errors.Is(err, store.ErrClosed) {
+		t.Fatalf("List after the victim's %s kill: err=%v, want ErrClosed", site, err)
 	}
 	found := map[string]bool{}
 	for _, e := range entries {
@@ -91,6 +90,14 @@ func testShardFailStopIsolation(t *testing.T, site string) {
 	for i, doc := range docs {
 		if i != victim && !found[doc] {
 			t.Fatalf("healthy shard %d's doc %s missing from post-kill listing (err=%v)", i, doc, err)
+		}
+	}
+	// The id listing serves the healthy shards and nothing of the dead
+	// one, which answers nothing once fail-stopped.
+	ids := r.Docs()
+	for i, doc := range docs {
+		if listed := slices.Contains(ids, doc); listed != (i != victim) {
+			t.Fatalf("Docs() after shard %d died = %v: shard %d's doc %s listed %v, want %v", victim, ids, i, doc, listed, i != victim)
 		}
 	}
 }

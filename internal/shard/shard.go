@@ -335,7 +335,12 @@ func (r *Router) List() ([]DocEntry, error) {
 		wg.Add(1)
 		go func(i int, st *store.Store) {
 			defer wg.Done()
-			for _, id := range st.Docs() {
+			ids := st.Docs()
+			if ids == nil {
+				errs[i] = fmt.Errorf("shard %d: %w", i, store.ErrClosed)
+				return
+			}
+			for _, id := range ids {
 				info, err := st.Get(id)
 				if err != nil {
 					if errors.Is(err, store.ErrNotFound) {
@@ -357,7 +362,8 @@ func (r *Router) List() ([]DocEntry, error) {
 	return all, errors.Join(errs...)
 }
 
-// Docs lists every document id across all shards, sorted.
+// Docs lists every document id across all shards, sorted. A closed or
+// fail-stopped shard contributes none.
 func (r *Router) Docs() []string {
 	var ids []string
 	for _, st := range r.stores {

@@ -87,6 +87,13 @@ func TestRoutedOpsLandOnOwningStore(t *testing.T) {
 	if len(ids) != 3 {
 		t.Fatalf("Docs() = %v, want 3 ids", ids)
 	}
+	// Closed shards answer nothing.
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ids := r.Docs(); len(ids) != 0 {
+		t.Fatalf("Docs() after Close = %v, want none", ids)
+	}
 }
 
 func TestManifestRefusesShardCountChange(t *testing.T) {

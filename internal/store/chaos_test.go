@@ -190,6 +190,9 @@ func TestChaosFsyncErrorFailsStop(t *testing.T) {
 	if _, err := s.Submit("d", Op{Kind: "read", Pattern: "/a"}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after a failed fsync: %v, want ErrClosed", err)
 	}
+	if ids := s.Docs(); ids != nil {
+		t.Fatalf("Docs after a failed fsync = %v, want nil", ids)
+	}
 
 	// Restart recovers at least the acknowledged prefix (the failed
 	// commit's record may or may not have survived — a failed fsync

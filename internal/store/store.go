@@ -520,10 +520,14 @@ const (
 // the §6 independence condition, whose cross-checks are those
 // theorems, when both update patterns are linear; and then only within
 // the caps above. No bounded search therefore runs under the store
-// mutex. Only a complete "no conflict"
-// settles an entry; any other verdict, or an error, leaves it to the
-// concrete check. The options carry no context, so no detect span
-// nests under store.admit.
+// mutex. Only a complete "no conflict", or a proof of independence,
+// settles an entry; any other answer, or an error, leaves it to the
+// concrete check. Either answer is a property of the pair alone, not
+// of the document, so the store's cache keeps it as one entry: once a
+// pair is cached, an entry costs one key (the patterns' renderings and
+// an insert's payload code) and one lookup, whichever way the answer
+// was reached. The options carry no context, so no detect span nests
+// under store.admit.
 func settled(c *core.DetectorCache, rd *ops.Read, sem ops.Semantics, upd, committed ops.Update) bool {
 	if !smallUpdate(committed) {
 		return false
@@ -612,8 +616,9 @@ func (s *Store) CreateCtx(ctx context.Context, id, xml string) (Result, error) {
 		return Result{}, fmt.Errorf("store: doc %q: element label %q: %w", id, l, ErrUnsafeLabel)
 	}
 	// The tree is private until it is published, so its digest and its
-	// canonical XML are taken before the other operations must wait.
-	digest, canonical := t.Digest(), t.XML()
+	// canonical XML are taken, in one canonical pass, before the other
+	// operations must wait.
+	digest, canonical := t.DigestXML()
 
 	s.mu.Lock()
 	locked := true
@@ -1090,9 +1095,16 @@ func (s *Store) WaitLSN(ctx context.Context, min uint64, wait time.Duration) boo
 }
 
 // Docs lists the registered document ids, sorted, once the writes that
-// reveal them are durable (nil if that wait fails).
+// reveal them are durable. It answers nil once the store is closed or
+// fail-stopped, where Get answers ErrClosed, and so also when that wait
+// fails, which fail-stops the store. An open store with no documents
+// answers an empty, non-nil list.
 func (s *Store) Docs() []string {
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil
+	}
 	ids := sortedIDs(s.docs)
 	if s.settle(nil, nil) != nil {
 		return nil

@@ -501,6 +501,9 @@ func TestClosedStore(t *testing.T) {
 	if _, err := s.Snapshot(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Snapshot after close: %v", err)
 	}
+	if ids := s.Docs(); ids != nil {
+		t.Fatalf("Docs after close = %v, want nil", ids)
+	}
 }
 
 func TestUnsafeLabelRejected(t *testing.T) {

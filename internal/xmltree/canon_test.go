@@ -111,6 +111,25 @@ func TestCanonicalBytesGolden(t *testing.T) {
 	}
 }
 
+// TestDigestXMLMatchesDigestAndXML: the one-pass DigestXML returns
+// exactly Digest() and XML() on the golden inputs.
+func TestDigestXMLMatchesDigestAndXML(t *testing.T) {
+	for name, tr := range map[string]*Tree{
+		"docs-shaped":       docsShaped(3, 3),
+		"docs-large-shaped": docsShaped(16, 16),
+		"escaped-labels":    escapedLabels(),
+		"single node":       New("a"),
+	} {
+		digest, xml := tr.DigestXML()
+		if digest != tr.Digest() {
+			t.Errorf("%s: DigestXML digest %s, Digest %s", name, digest, tr.Digest())
+		}
+		if xml != tr.XML() {
+			t.Errorf("%s: DigestXML xml %q, XML %q", name, xml, tr.XML())
+		}
+	}
+}
+
 // refCode is the recursive encoder the one-buffer kernel replaced, kept
 // here as the reference: each node's code is its own string, built from
 // its children's sorted codes. The oracle below sorts by it, so it does

@@ -10,7 +10,7 @@ import (
 // serializes to XML that parses again, to an isomorphic tree when
 // UnsafeLabel finds nothing: serialization escapes other labels lossily
 // (<é/> comes back as <n-ue9/>), so for those only the re-parse is
-// asserted. And ParseWithLimits, whichever path reads the input, returns
+// asserted; and its one-pass DigestXML equals Digest and XML. And ParseWithLimits, whichever path reads the input, returns
 // what the encoding/xml reference decodeXML returns on the same bytes —
 // the same error text, or the same tree with the same labels, ids and
 // child order — under the default limits and under small fuzzed ones.
@@ -78,6 +78,9 @@ func FuzzParse(f *testing.F) {
 		}
 		if _, unsafe := tr.UnsafeLabel(); !unsafe && !Isomorphic(tr, back) {
 			t.Fatalf("round trip changed %q", src)
+		}
+		if digest, xml := tr.DigestXML(); digest != tr.Digest() || xml != tr.XML() {
+			t.Fatalf("DigestXML of %q = %s, %q; want Digest %s, XML %q", src, digest, xml, tr.Digest(), tr.XML())
 		}
 	})
 }

@@ -154,6 +154,17 @@ func (t *Tree) Digest() string {
 	return hex.EncodeToString(sum[:])
 }
 
+// DigestXML returns Digest() and XML() from one canonical pass, for a
+// caller that records both, as the store does when it creates a
+// document.
+func (t *Tree) DigestXML() (digest, xml string) {
+	c := canonicalOrder(t.root)
+	defer c.release()
+	sum := sha256.Sum256(c.code(0))
+	c.tmp = c.appendXML(c.tmp[:0], 0, xmlName)
+	return hex.EncodeToString(sum[:]), string(c.tmp)
+}
+
 // Isomorphic reports whether two trees are isomorphic (Definition 1).
 func Isomorphic(a, b *Tree) bool {
 	return IsomorphicNodes(a.root, b.root)
