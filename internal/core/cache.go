@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -307,21 +306,26 @@ func (c *DetectorCache) Len() int {
 // cacheKey is the SHA-256 of a query's canonical text.
 type cacheKey [sha256.Size]byte
 
+// keyBufSize is the key text detectKey and independenceKey build on the
+// stack; a longer text moves to the heap.
+const keyBufSize = 256
+
 // detectKey canonicalizes a detection query. The second result is false
 // for update implementations outside ops.Insert/ops.Delete, which have
 // no canonical form.
 func detectKey(r ops.Read, u ops.Update, sem ops.Semantics, opts SearchOptions) (cacheKey, bool) {
-	var b strings.Builder
-	b.WriteString(r.P.String())
-	b.WriteByte(0)
-	if !writeUpdateKey(&b, u) {
+	var buf [keyBufSize]byte
+	b := append(buf[:0], r.P.String()...)
+	b = append(b, 0)
+	b, ok := appendUpdateKey(b, u)
+	if !ok {
 		return cacheKey{}, false
 	}
-	b.WriteByte(0)
-	b.WriteString(sem.String())
-	b.WriteByte(0)
-	writeBoundsKey(&b, opts)
-	return sha256.Sum256([]byte(b.String())), true
+	b = append(b, 0)
+	b = append(b, sem.String()...)
+	b = append(b, 0)
+	b = appendBoundsKey(b, opts)
+	return sha256.Sum256(b), true
 }
 
 // independenceKey canonicalizes an UpdatesIndependent query: the
@@ -330,55 +334,57 @@ func detectKey(r ops.Read, u ops.Update, sem ops.Semantics, opts SearchOptions) 
 // rendered pattern, which starts with '/', so the two never collide.
 // The second result is false as detectKey's is.
 func independenceKey(u1, u2 ops.Update, opts SearchOptions) (cacheKey, bool) {
-	var b strings.Builder
-	b.WriteString("independent\x00")
-	if !writeUpdateKey(&b, u1) {
+	var buf [keyBufSize]byte
+	b := append(buf[:0], "independent\x00"...)
+	b, ok := appendUpdateKey(b, u1)
+	if !ok {
 		return cacheKey{}, false
 	}
-	b.WriteByte(0)
-	if !writeUpdateKey(&b, u2) {
+	b = append(b, 0)
+	if b, ok = appendUpdateKey(b, u2); !ok {
 		return cacheKey{}, false
 	}
-	b.WriteByte(0)
-	writeBoundsKey(&b, independenceBounds(opts))
-	return sha256.Sum256([]byte(b.String())), true
+	b = append(b, 0)
+	b = appendBoundsKey(b, independenceBounds(opts))
+	return sha256.Sum256(b), true
 }
 
-// writeUpdateKey appends an update's canonical form: kind, pattern
+// appendUpdateKey appends an update's canonical form: kind, pattern
 // rendering, and (for inserts) the payload's isomorphism code. It
-// reports false, having written nothing, for update kinds it cannot
+// reports false, having appended nothing, for update kinds it cannot
 // canonicalize.
-func writeUpdateKey(b *strings.Builder, u ops.Update) bool {
+func appendUpdateKey(b []byte, u ops.Update) ([]byte, bool) {
 	switch v := u.(type) {
 	case ops.Insert:
-		b.WriteString("insert\x00")
-		b.WriteString(v.P.String())
-		b.WriteByte(0)
-		b.WriteString(xmltree.Code(v.X.Root()))
+		b = append(b, "insert\x00"...)
+		b = append(b, v.P.String()...)
+		b = append(b, 0)
+		b = xmltree.AppendCode(b, v.X.Root())
 	case *ops.Insert:
-		return writeUpdateKey(b, *v)
+		return appendUpdateKey(b, *v)
 	case ops.Delete:
-		b.WriteString("delete\x00")
-		b.WriteString(v.P.String())
+		b = append(b, "delete\x00"...)
+		b = append(b, v.P.String()...)
 	case *ops.Delete:
-		return writeUpdateKey(b, *v)
+		return appendUpdateKey(b, *v)
 	default:
-		return false
+		return b, false
 	}
-	return true
+	return b, true
 }
 
-// writeBoundsKey appends the search bounds that shape the verdict: node
+// appendBoundsKey appends the search bounds that shape the verdict: node
 // and candidate caps and any explicit alphabet. Telemetry channels and
 // the context do not affect verdicts and stay out of the key.
-func writeBoundsKey(b *strings.Builder, opts SearchOptions) {
-	b.WriteString(strconv.Itoa(opts.MaxNodes))
-	b.WriteByte(0)
-	b.WriteString(strconv.Itoa(opts.MaxCandidates))
+func appendBoundsKey(b []byte, opts SearchOptions) []byte {
+	b = strconv.AppendInt(b, int64(opts.MaxNodes), 10)
+	b = append(b, 0)
+	b = strconv.AppendInt(b, int64(opts.MaxCandidates), 10)
 	for _, l := range opts.Labels {
-		b.WriteByte(0)
-		b.WriteString(l)
+		b = append(b, 0)
+		b = append(b, l...)
 	}
+	return b
 }
 
 // BatchItem is one read/update pair of a DetectBatch call.

@@ -343,12 +343,17 @@ func E6(seed int64) Table {
 	for _, pad := range []int{100, 1000, 10_000, 100_000} {
 		big := v.Witness.Clone()
 		// Hang irrelevant chains and stretch the spine region with noise.
+		// size counts the nodes as they are added: Size walks the whole
+		// tree, which would make the padding quadratic.
 		nodes := big.Nodes()
-		for big.Size() < pad {
+		size := big.Size()
+		for size < pad {
 			n := nodes[rng.Intn(len(nodes))]
 			c := big.AddChild(n, "pad")
-			for j := 0; j < 30 && big.Size() < pad; j++ {
+			size++
+			for j := 0; j < 30 && size < pad; j++ {
 				c = big.AddChild(c, "pad")
+				size++
 			}
 		}
 		start := time.Now()

@@ -7,12 +7,22 @@
 // distinguished output node Ø(p). The full class P^{//,[],*} allows
 // branching; the linear class P^{//,*} restricts each node to at most one
 // outgoing edge with the output at the leaf.
+//
+// A pattern is built by New, AddChild, SetOutput and Attach, or in one
+// step by Build, which the XPath parser uses. String renders it in the
+// paper's XPath syntax and keeps the rendering on the pattern: later
+// calls return it without walking the tree, and AddChild, SetOutput and
+// Attach, the only operations that change a pattern, drop it. The kept
+// rendering sits behind an atomic pointer, so goroutines may render one
+// shared pattern at once; a pattern is not safe to change while others
+// use it.
 package pattern
 
 import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Wildcard is the label of wildcard pattern nodes (the symbol * ∉ Σ).
@@ -66,6 +76,8 @@ func (n *Node) Children() []*Node { return n.children }
 type Pattern struct {
 	root *Node
 	out  *Node
+	// rendered is String's result, kept until the pattern changes.
+	rendered atomic.Pointer[string]
 }
 
 // New returns a pattern consisting of a single root node, which is also the
@@ -84,14 +96,71 @@ func (p *Pattern) Output() *Node { return p.out }
 // SetOutput marks n as the output node. n must belong to the pattern.
 func (p *Pattern) SetOutput(n *Node) {
 	p.out = n
+	p.rendered.Store(nil)
 }
 
 // AddChild creates a new node attached under parent with the given axis and
-// label, and returns it.
+// label, and returns it. parent must belong to the pattern.
 func (p *Pattern) AddChild(parent *Node, axis Axis, label string) *Node {
 	n := &Node{label: label, axis: axis, parent: parent}
 	parent.children = append(parent.children, n)
+	p.rendered.Store(nil)
 	return n
+}
+
+// Step is one node of a pattern given to Build: its label, the axis of
+// the edge from its parent, and its parent's index among the steps (-1
+// for the root).
+type Step struct {
+	Label  string
+	Axis   Axis
+	Parent int
+}
+
+// Build returns the pattern whose nodes are the steps, in order:
+// steps[0] is the root, each other step's Parent indexes an earlier
+// step, and steps[out] is the output node. A node's children keep the
+// order of their steps; steps that break these rules are a caller's bug
+// and panic. All nodes come from one allocation and all child lists
+// from another, so a pattern costs three allocations (four past 32
+// nodes); a child added later by AddChild moves its parent's list out
+// of the shared one instead of overwriting a neighbour's.
+func Build(steps []Step, out int) *Pattern {
+	if len(steps) == 0 || out < 0 || out >= len(steps) {
+		panic(fmt.Sprintf("pattern: Build: output %d of %d steps", out, len(steps)))
+	}
+	nodes := make([]Node, len(steps))
+	// Count each node's children, on the stack for the usual sizes.
+	var small [32]int32
+	var count []int32
+	if len(steps) <= len(small) {
+		count = small[:len(steps)]
+	} else {
+		count = make([]int32, len(steps))
+	}
+	for i := 1; i < len(steps); i++ {
+		par := steps[i].Parent
+		if par < 0 || par >= i {
+			panic(fmt.Sprintf("pattern: Build: step %d has parent %d", i, par))
+		}
+		count[par]++
+	}
+	kids := make([]*Node, len(steps)-1)
+	next := 0
+	for i := range nodes {
+		nodes[i].label = steps[i].Label
+		nodes[i].axis = steps[i].Axis
+		if c := int(count[i]); c > 0 {
+			nodes[i].children = kids[next : next : next+c]
+			next += c
+		}
+		if i > 0 {
+			par := &nodes[steps[i].Parent]
+			nodes[i].parent = par
+			par.children = append(par.children, &nodes[i])
+		}
+	}
+	return &Pattern{root: &nodes[0], out: &nodes[out]}
 }
 
 // Attach grafts a copy of the pattern q (ignoring q's output marking) under

@@ -53,7 +53,7 @@ func Random(rng *rand.Rand, cfg RandomConfig) *Pattern {
 			all = append(all, tip)
 		}
 	}
-	p.out = tip
+	p.SetOutput(tip)
 	return p
 }
 

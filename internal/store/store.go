@@ -131,13 +131,15 @@ type Info struct {
 }
 
 // histEntry is one committed update retained for optimistic admission:
-// the update itself plus the (immutable) tree it applied to.
+// the update itself plus the (immutable) tree it applied to, and what
+// the admission screen needs to know about it, taken once at commit.
 type histEntry struct {
 	lsn    uint64 // the update's commit LSN
 	preLSN uint64 // the document LSN the update applied on
 	kind   string
 	upd    ops.Update
 	pre    *xmltree.Tree
+	screen screenFacts
 }
 
 type doc struct {
@@ -404,7 +406,8 @@ func applyUpdate(d *doc, u ops.Update) (*xmltree.Tree, int, string, error) {
 // share every subtree their successors did not change and cost their
 // copied paths rather than a document each.
 func (s *Store) commitUpdate(d *doc, lsn uint64, kind string, u ops.Update, newTree *xmltree.Tree, digest string) {
-	d.hist = trimFront(append(d.hist, histEntry{lsn: lsn, preLSN: d.lsn, kind: kind, upd: u, pre: d.tree}), s.opts.HistoryWindow)
+	e := histEntry{lsn: lsn, preLSN: d.lsn, kind: kind, upd: u, pre: d.tree, screen: updateFacts(u)}
+	d.hist = trimFront(append(d.hist, e), s.opts.HistoryWindow)
 	d.tree = newTree
 	d.lsn = lsn
 	d.digest = digest
@@ -451,11 +454,12 @@ func (s *Store) admit(d *doc, op Op, rd *ops.Read, upd ops.Update) (admission, e
 	if len(d.hist) == 0 || d.hist[0].preLSN > base {
 		return n, fmt.Errorf("store: doc %q: base lsn %d: %w", d.id, base, ErrStaleBase)
 	}
+	facts := opFacts(rd, upd)
 	for _, e := range d.hist {
 		if e.lsn <= base {
 			continue
 		}
-		if settled(s.detector, rd, op.Sem, upd, e.upd) {
+		if screened(s.detector, rd, op.Sem, upd, facts, e.upd, e.screen) {
 			n.static++
 			continue
 		}
@@ -524,49 +528,69 @@ const (
 // settles an entry; any other answer, or an error, leaves it to the
 // concrete check. Either answer is a property of the pair alone, not
 // of the document, so the store's cache keeps it as one entry: once a
-// pair is cached, an entry costs one key (the patterns' renderings and
-// an insert's payload code) and one lookup, whichever way the answer
-// was reached. The options carry no context, so no detect span nests
-// under store.admit.
+// pair is cached, an entry costs one key (the patterns' renderings,
+// kept on the patterns, and an insert's payload code) and one lookup,
+// whichever way the answer was reached. The options carry no context,
+// so no detect span nests under store.admit.
+//
+// settled takes each side's facts afresh; admit uses screened, with
+// the operation's facts taken once per admission and each window
+// entry's taken at its commit.
 func settled(c *core.DetectorCache, rd *ops.Read, sem ops.Semantics, upd, committed ops.Update) bool {
-	if !smallUpdate(committed) {
+	return screened(c, rd, sem, upd, opFacts(rd, upd), committed, updateFacts(committed))
+}
+
+// screened is settled given both sides' facts.
+func screened(c *core.DetectorCache, rd *ops.Read, sem ops.Semantics, upd ops.Update, op screenFacts, committed ops.Update, cf screenFacts) bool {
+	if !cf.small || !op.small || !op.linear {
 		return false
 	}
 	if rd != nil {
-		if !rd.P.IsLinear() || !small(rd.P, nil) {
-			return false
-		}
 		v, err := c.Detect(*rd, committed, sem, core.SearchOptions{})
 		return err == nil && v.Complete && !v.Conflict
 	}
-	if !upd.Pattern().IsLinear() || !committed.Pattern().IsLinear() || !smallUpdate(upd) {
+	if !cf.linear {
 		return false
 	}
 	ok, _, err := c.UpdatesIndependent(upd, committed, core.SearchOptions{})
 	return err == nil && ok
 }
 
-// smallUpdate reports whether an update is within the screen's caps
-// (see small), counting an insert's payload.
-func smallUpdate(u ops.Update) bool {
-	if ins, ok := u.(ops.Insert); ok {
-		return small(ins.P, ins.X)
+// screenFacts is what the screen needs to know about one side of a
+// pair: whether it is within the caps (small) and whether its pattern
+// is in P^{//,*} (linear).
+type screenFacts struct {
+	small, linear bool
+}
+
+// opFacts takes the facts of the operation being admitted: the read's
+// if it is one, else the update's.
+func opFacts(rd *ops.Read, upd ops.Update) screenFacts {
+	if rd != nil {
+		return screenFacts{small: small(rd.P, nil), linear: rd.P.IsLinear()}
 	}
-	return small(u.Pattern(), nil)
+	return updateFacts(upd)
+}
+
+// updateFacts takes an update's facts, counting an insert's payload
+// against the caps.
+func updateFacts(u ops.Update) screenFacts {
+	var x *xmltree.Tree
+	if ins, ok := u.(ops.Insert); ok {
+		x = ins.X
+	}
+	return screenFacts{small: small(u.Pattern(), x), linear: u.Pattern().IsLinear()}
 }
 
 // small reports whether a pattern, with an insert's payload x (nil for
 // none), is within the screen's caps: at most screenMaxNodes pattern
 // nodes, and at most screenMaxBytes of text counting every label of
-// both and two bytes per payload node.
+// both and two bytes per payload node. It stops walking at the first
+// cap it passes.
 func small(p *pattern.Pattern, x *xmltree.Tree) bool {
-	nodes := p.Nodes()
-	if len(nodes) > screenMaxNodes {
+	_, n, ok := patternText(p.Root(), 0, 0)
+	if !ok {
 		return false
-	}
-	n := 0
-	for _, q := range nodes {
-		n += len(q.Label())
 	}
 	if x != nil {
 		x.Walk(func(m *xmltree.Node) bool {
@@ -575,6 +599,23 @@ func small(p *pattern.Pattern, x *xmltree.Tree) bool {
 		})
 	}
 	return n <= screenMaxBytes
+}
+
+// patternText adds the subtree at q to a count of pattern nodes and
+// label bytes, and reports false as soon as either passes its cap.
+func patternText(q *pattern.Node, nodes, bytes int) (int, int, bool) {
+	nodes++
+	bytes += len(q.Label())
+	if nodes > screenMaxNodes || bytes > screenMaxBytes {
+		return nodes, bytes, false
+	}
+	for _, c := range q.Children() {
+		var ok bool
+		if nodes, bytes, ok = patternText(c, nodes, bytes); !ok {
+			return nodes, bytes, false
+		}
+	}
+	return nodes, bytes, true
 }
 
 // semFired reports whether the admission semantics is among the fired

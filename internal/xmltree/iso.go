@@ -22,6 +22,14 @@ func Code(n *Node) string {
 	return string(c.code(0))
 }
 
+// AppendCode appends Code(n) to dst and returns the extended buffer,
+// for callers that build a larger key around it.
+func AppendCode(dst []byte, n *Node) []byte {
+	c := canonicalOrder(n)
+	defer c.release()
+	return append(dst, c.code(0)...)
+}
+
 // canonical is the canonical-code kernel every writer runs on: one pass
 // over one or more subtrees that lists their nodes in preorder, builds
 // each node's AHU code as a span of one byte buffer, and orders each

@@ -30,14 +30,20 @@ import (
 )
 
 // Parse parses an expression in the paper's XPath fragment into a tree
-// pattern.
+// pattern. It reads the expression once, token by token, collecting its
+// steps in the parser (on the stack for up to 16 of them), and then
+// builds every node of the pattern from one allocation (pattern.Build).
 func Parse(expr string) (*pattern.Pattern, error) {
-	p := &parser{lex: newLexer(expr)}
-	pat, err := p.parse()
+	p := parser{src: expr}
+	out, err := p.parse()
 	if err != nil {
 		return nil, fmt.Errorf("xpath: %w", err)
 	}
-	return pat, nil
+	steps := p.more
+	if steps == nil {
+		steps = p.first[:p.n]
+	}
+	return pattern.Build(steps, out), nil
 }
 
 // MustParse is Parse that panics on error; intended for tests and examples
@@ -63,6 +69,9 @@ const (
 	tokDotSelf // . (only meaningful as the ".//" predicate prefix)
 )
 
+// token is one lexical unit. An end-of-expression token with text is a
+// character no token starts with: the scan stops there, and the parser
+// reports it where it expects something else.
 type token struct {
 	kind tokenKind
 	text string
@@ -81,18 +90,6 @@ func (t token) String() string {
 	}
 }
 
-type lexer struct {
-	src  string
-	pos  int
-	toks []token
-}
-
-func newLexer(src string) *lexer {
-	l := &lexer{src: src}
-	l.run()
-	return l
-}
-
 // Name characters follow the shape of XML names: letters (any script)
 // and underscore start a name; digits, hyphen, and dot may continue it.
 func isNameStart(r rune) bool {
@@ -103,66 +100,101 @@ func isNameRest(r rune) bool {
 	return isNameStart(r) || unicode.IsDigit(r) || r == '-' || r == '.'
 }
 
-func (l *lexer) run() {
-	s := l.src
-	i := 0
+// nameCharAt reports the width of the character at s[i] and whether it
+// starts a name (first) or continues one. An ASCII byte is decided
+// without decoding it.
+func nameCharAt(s string, i int, first bool) (int, bool) {
+	if c := s[i]; c < utf8.RuneSelf {
+		letter := 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '_'
+		return 1, letter || !first && ('0' <= c && c <= '9' || c == '-' || c == '.')
+	}
+	r, w := utf8.DecodeRuneInString(s[i:])
+	if first {
+		return w, isNameStart(r)
+	}
+	return w, isNameRest(r)
+}
+
+// parser reads the expression one token ahead: tok is the next token,
+// and pos is where the scan for the one after it starts. It collects
+// the pattern's nodes in the order they are read: the first n in first,
+// all of them in more once there are too many for first. first is an
+// array inside the parser, not a slice of one outside it, so the steps
+// stay wherever the parser is, which for Parse is its stack.
+type parser struct {
+	src   string
+	pos   int
+	tok   token
+	first [16]pattern.Step
+	n     int
+	more  []pattern.Step
+}
+
+// scan reads the token at pos into tok, skipping whitespace. At the end
+// of the expression, or at a character no token starts with, tok is an
+// end token (carrying that character) and pos moves to the end, so the
+// scan goes no further.
+func (p *parser) scan() {
+	s := p.src
+	i := p.pos
 	for i < len(s) {
-		r, width := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == ' ' || r == '\t' || r == '\n' || r == '\r':
-			i += width
-		case r == '/':
+		c := s[i]
+		switch c {
+		case ' ', '\t', '\n', '\r':
+			i++
+			continue
+		case '/':
 			if i+1 < len(s) && s[i+1] == '/' {
-				l.toks = append(l.toks, token{tokDSlash, "//", i})
-				i += 2
+				p.tok, p.pos = token{tokDSlash, "//", i}, i+2
 			} else {
-				l.toks = append(l.toks, token{tokSlash, "/", i})
-				i++
+				p.tok, p.pos = token{tokSlash, "/", i}, i+1
 			}
-		case r == '[':
-			l.toks = append(l.toks, token{tokLBrack, "[", i})
-			i++
-		case r == ']':
-			l.toks = append(l.toks, token{tokRBrack, "]", i})
-			i++
-		case r == '*':
-			l.toks = append(l.toks, token{tokStar, "*", i})
-			i++
-		case r == '.':
+			return
+		case '[':
+			p.tok, p.pos = token{tokLBrack, "[", i}, i+1
+			return
+		case ']':
+			p.tok, p.pos = token{tokRBrack, "]", i}, i+1
+			return
+		case '*':
+			p.tok, p.pos = token{tokStar, "*", i}, i+1
+			return
+		case '.':
 			// "." is only valid immediately before "//" or "/" in a
 			// predicate; the parser enforces context.
-			l.toks = append(l.toks, token{tokDotSelf, ".", i})
-			i++
-		case isNameStart(r):
-			j := i + width
-			for j < len(s) {
-				nr, nw := utf8.DecodeRuneInString(s[j:])
-				if !isNameRest(nr) {
-					break
-				}
-				j += nw
-			}
-			l.toks = append(l.toks, token{tokName, s[i:j], i})
-			i = j
-		default:
-			l.toks = append(l.toks, token{tokEOF, string(r), i})
-			i = len(s) // force error in parser via bad token
+			p.tok, p.pos = token{tokDotSelf, ".", i}, i+1
+			return
 		}
+		w, ok := nameCharAt(s, i, true)
+		if !ok {
+			break // a character no token starts with
+		}
+		j := i + w
+		for j < len(s) {
+			w, ok := nameCharAt(s, j, false)
+			if !ok {
+				break
+			}
+			j += w
+		}
+		p.tok, p.pos = token{tokName, s[i:j], i}, j
+		return
 	}
-	l.toks = append(l.toks, token{tokEOF, "", len(s)})
+	if i < len(s) {
+		_, w := utf8.DecodeRuneInString(s[i:])
+		p.tok = token{tokEOF, s[i : i+w], i}
+	} else {
+		p.tok = token{tokEOF, "", len(s)}
+	}
+	p.pos = len(s)
 }
 
-type parser struct {
-	lex *lexer
-	i   int
-}
-
-func (p *parser) peek() token { return p.lex.toks[p.i] }
-
+// next returns the next token and moves past it, unless it ends the
+// expression.
 func (p *parser) next() token {
-	t := p.lex.toks[p.i]
+	t := p.tok
 	if t.kind != tokEOF {
-		p.i++
+		p.scan()
 	}
 	return t
 }
@@ -171,83 +203,89 @@ func (p *parser) errf(t token, format string, args ...any) error {
 	return fmt.Errorf("at offset %d: %s", t.pos, fmt.Sprintf(format, args...))
 }
 
-// parse parses a full top-level expression.
-func (p *parser) parse() (*pattern.Pattern, error) {
-	if strings.TrimSpace(p.lex.src) == "" {
-		return nil, fmt.Errorf("empty expression")
+// add records a node under parent (-1 for the root) and returns its
+// index.
+func (p *parser) add(parent int, axis pattern.Axis, label string) int {
+	st := pattern.Step{Label: label, Axis: axis, Parent: parent}
+	if p.more == nil && p.n < len(p.first) {
+		p.first[p.n] = st
+		p.n++
+		return p.n - 1
 	}
+	if p.more == nil {
+		p.more = make([]pattern.Step, p.n, 4*p.n)
+		copy(p.more, p.first[:p.n])
+	}
+	p.more = append(p.more, st)
+	return len(p.more) - 1
+}
+
+// parse parses a full top-level expression and returns the index of its
+// output node.
+func (p *parser) parse() (int, error) {
+	if strings.TrimSpace(p.src) == "" {
+		return 0, fmt.Errorf("empty expression")
+	}
+	p.scan()
 	// Leading axis.
-	firstAxis := pattern.Child
-	switch p.peek().kind {
-	case tokSlash:
-		p.next()
+	var cur int
+	switch p.tok.kind {
 	case tokDSlash:
-		p.next()
-		firstAxis = pattern.Descendant
-	}
-	var pat *pattern.Pattern
-	var cur *pattern.Node
-	if firstAxis == pattern.Descendant {
 		// //a  ≡  a synthetic wildcard root with a descendant edge.
-		pat = pattern.New(pattern.Wildcard)
-		cur = pat.Root()
-		n, err := p.step(pat, cur, pattern.Descendant)
+		p.next()
+		n, err := p.step(p.add(-1, pattern.Child, pattern.Wildcard), pattern.Descendant)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		cur = n
-	} else {
+	case tokSlash:
+		p.next()
+		fallthrough
+	default:
 		label, err := p.nameOrStar()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		pat = pattern.New(label)
-		cur = pat.Root()
-		if err := p.predicates(pat, cur); err != nil {
-			return nil, err
+		cur = p.add(-1, pattern.Child, label)
+		if err := p.predicates(cur); err != nil {
+			return 0, err
 		}
 	}
 	for {
-		switch t := p.peek(); t.kind {
+		var axis pattern.Axis
+		switch t := p.tok; t.kind {
 		case tokSlash:
-			p.next()
-			n, err := p.step(pat, cur, pattern.Child)
-			if err != nil {
-				return nil, err
-			}
-			cur = n
+			axis = pattern.Child
 		case tokDSlash:
-			p.next()
-			n, err := p.step(pat, cur, pattern.Descendant)
-			if err != nil {
-				return nil, err
-			}
-			cur = n
+			axis = pattern.Descendant
 		case tokEOF:
 			if t.text != "" {
-				return nil, p.errf(t, "unexpected character %q", t.text)
+				r, _ := utf8.DecodeRuneInString(t.text)
+				return 0, p.errf(t, "unexpected character %q", string(r))
 			}
-			pat.SetOutput(cur)
-			if err := pat.Validate(); err != nil {
-				return nil, err
-			}
-			return pat, nil
+			return cur, nil
 		default:
-			return nil, p.errf(t, "unexpected %s", t)
+			return 0, p.errf(t, "unexpected %s", t)
 		}
+		p.next()
+		n, err := p.step(cur, axis)
+		if err != nil {
+			return 0, err
+		}
+		cur = n
 	}
 }
 
-// step parses one step (name-or-star plus predicates) and attaches it under
-// parent with the given axis.
-func (p *parser) step(pat *pattern.Pattern, parent *pattern.Node, axis pattern.Axis) (*pattern.Node, error) {
+// step parses one step (name-or-star plus predicates) and records it
+// under parent with the given axis.
+func (p *parser) step(parent int, axis pattern.Axis) (int, error) {
 	label, err := p.nameOrStar()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	n := pat.AddChild(parent, axis, label)
-	if err := p.predicates(pat, n); err != nil {
-		return nil, err
+	n := p.add(parent, axis, label)
+	if err := p.predicates(n); err != nil {
+		return 0, err
 	}
 	return n, nil
 }
@@ -265,10 +303,10 @@ func (p *parser) nameOrStar() (string, error) {
 }
 
 // predicates parses zero or more [ ... ] predicates attached to anchor.
-func (p *parser) predicates(pat *pattern.Pattern, anchor *pattern.Node) error {
-	for p.peek().kind == tokLBrack {
+func (p *parser) predicates(anchor int) error {
+	for p.tok.kind == tokLBrack {
 		p.next()
-		if err := p.relExpr(pat, anchor); err != nil {
+		if err := p.relExpr(anchor); err != nil {
 			return err
 		}
 		if t := p.next(); t.kind != tokRBrack {
@@ -278,12 +316,12 @@ func (p *parser) predicates(pat *pattern.Pattern, anchor *pattern.Node) error {
 	return nil
 }
 
-// relExpr parses the relative expression inside a predicate and attaches it
-// under anchor. Grammar: optional anchor prefix (".//", "./", "//", "/"),
-// then a step path.
-func (p *parser) relExpr(pat *pattern.Pattern, anchor *pattern.Node) error {
+// relExpr parses the relative expression inside a predicate and records
+// it under anchor. Grammar: optional anchor prefix (".//", "./", "//",
+// "/"), then a step path.
+func (p *parser) relExpr(anchor int) error {
 	axis := pattern.Child
-	switch p.peek().kind {
+	switch p.tok.kind {
 	case tokDotSelf:
 		p.next()
 		switch t := p.next(); t.kind {
@@ -300,26 +338,22 @@ func (p *parser) relExpr(pat *pattern.Pattern, anchor *pattern.Node) error {
 	case tokSlash:
 		p.next()
 	}
-	cur, err := p.step(pat, anchor, axis)
+	cur, err := p.step(anchor, axis)
 	if err != nil {
 		return err
 	}
 	for {
-		switch p.peek().kind {
+		switch p.tok.kind {
 		case tokSlash:
-			p.next()
-			cur, err = p.step(pat, cur, pattern.Child)
-			if err != nil {
-				return err
-			}
+			axis = pattern.Child
 		case tokDSlash:
-			p.next()
-			cur, err = p.step(pat, cur, pattern.Descendant)
-			if err != nil {
-				return err
-			}
+			axis = pattern.Descendant
 		default:
 			return nil
+		}
+		p.next()
+		if cur, err = p.step(cur, axis); err != nil {
+			return err
 		}
 	}
 }
