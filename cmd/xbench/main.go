@@ -30,7 +30,7 @@
 // trajectory file. -compare loads two such files and reports every
 // experiment whose ns/op regressed beyond 30%: exit 0 when clean, 1 when
 // regressions were flagged, 2 on errors. CI runs it report-only against
-// the committed BENCH_seed.json baseline.
+// the committed BENCH_pr9.json baseline, the newest trajectory point.
 package main
 
 import (

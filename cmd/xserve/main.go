@@ -910,7 +910,7 @@ func run(args []string) int {
 	traceSlow := fs.Duration("trace-slow", 0, "latency above which a request trace is always kept (0 = recorder default)")
 	storeDir := fs.String("store-dir", "", "durable document store directory (empty = /v1/docs disabled)")
 	storeFsync := fs.String("store-fsync", "always", "store fsync policy: always or never")
-	storeSnapshotEvery := fs.Int("store-snapshot-every", 1024, "auto-snapshot (and truncate the WAL) after this many records; 0 = manual only")
+	storeSnapshotEvery := fs.Int("store-snapshot-every", 1024, "auto-snapshot (and rotate the WAL) after this many records; 0 = manual only")
 	shards := fs.Int("shards", 1, "partition the document space across this many store shards (each with its own WAL, snapshots, and recovery)")
 	tenantInflight := fs.Int("tenant-inflight", 0, "max in-flight /v1/docs operations per tenant before 429 (0 = unlimited)")
 	addrFile := fs.String("addr-file", "", "write the bound listen address to this file once serving (harness hook: lets xload/CI find a :0 port)")

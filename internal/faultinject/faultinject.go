@@ -7,9 +7,10 @@
 // "store.append" (before a WAL frame is written), "store.append.partial"
 // (after the frame header, before the payload — a torn record),
 // "store.fsync" (before the log is synced), "store.snapshot.write"
-// (mid-snapshot, before the atomic rename), and "store.xfer.install"
-// (a received state transfer verified, before the rename that installs
-// it). Production code calls
+// (mid-snapshot, before the atomic rename), "store.wal.rotate" (after a
+// snapshot renamed wal.log into the kept segment, before a new wal.log
+// exists), and "store.xfer.install" (a received state transfer
+// verified, before the rename that installs it). Production code calls
 // Fire(site) at the location; with nothing armed the call is a single
 // atomic load and a return — cheap enough to leave compiled into hot
 // paths. Tests (or an operator running a chaos drill) arm faults at

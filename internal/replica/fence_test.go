@@ -71,7 +71,10 @@ func TestPrepareVoteWriteFencesOldEpoch(t *testing.T) {
 	// From the promise on, epoch-1 appends are rejected. The refusal
 	// names the promised epoch with an EMPTY primary: the old primary
 	// learns it is fenced without adopting a claim nobody has won.
-	frames, _ := a.Router().Store(0).FramesSince(0)
+	frames, _, err := a.Router().Store(0).FramesSince(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	appendReq := appendRequest{Epoch: 1, Primary: "a", Shard: 0, Frames: frames}
 	var app appendResponse
 	if st := postJSON(t, bURL+"/v1/repl/append", appendReq, &app); st != http.StatusConflict || app.Accepted {

@@ -104,8 +104,9 @@ type heartbeatResponse struct {
 
 // sinceResponse answers anti-entropy catch-up: a bounded page of frames
 // past the requested LSN (More means ask again from the new position),
-// or Reset when the buffer has been trimmed past it — the caller must
-// pull full state through the chunked transfer path instead.
+// or Reset when the peer's retained log no longer reaches back to it —
+// the caller must pull full state through the chunked transfer path
+// instead.
 type sinceResponse struct {
 	Epoch   uint64            `json:"epoch"`
 	Primary string            `json:"primary"`
@@ -250,8 +251,8 @@ func (n *Node) handleAppend(w http.ResponseWriter, r *http.Request) {
 	n.mu.Lock()
 	epoch, primary, dirty := n.epoch, n.primaryID, n.dirty
 	// State imported wholesale from this very (epoch, primary) verifies
-	// overlapping re-shipped frames by provenance: the import cleared
-	// the frame log, so byte-comparison cannot reach below its LSN.
+	// overlapping re-shipped frames by provenance: the import emptied
+	// the local log, so byte-comparison cannot reach below its LSN.
 	var floor uint64
 	if mk := n.resyncBase[req.Shard]; mk.epoch == req.Epoch && mk.primary == req.Primary {
 		floor = mk.lsn
@@ -432,7 +433,15 @@ func (n *Node) handleSince(w http.ResponseWriter, r *http.Request) {
 	// since-response could balloon to the whole retained log in one body.
 	// More tells the caller to come back from its new position.
 	resp := sinceResponse{Epoch: epoch, Primary: primary, LSN: st.LSN()}
-	frames, more, ok := st.FramesSincePage(after, maxSinceFrames, maxSinceBytes)
+	frames, more, ok, err := st.FramesSincePage(after, maxSinceFrames, maxSinceBytes)
+	switch {
+	case errors.Is(err, store.ErrClosed):
+		replJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error(), "reason": "store-closed"})
+		return
+	case err != nil:
+		replJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error(), "reason": "store-read"})
+		return
+	}
 	if ok {
 		resp.Frames = frames
 		resp.More = more

@@ -544,8 +544,9 @@ func (n *Node) catchUp() {
 }
 
 // pullSince brings one local shard up to peer's log via anti-entropy:
-// bounded pages of frames while the peer still buffers them, the
-// chunked full-state transfer once it reports the buffer trimmed.
+// bounded pages of frames while the peer's retained log still reaches
+// back to the local LSN, the chunked full-state transfer once it does
+// not.
 func (n *Node) pullSince(ctx context.Context, p Peer, shardIdx int, st *store.Store) error {
 	for {
 		var resp sinceResponse

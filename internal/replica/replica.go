@@ -225,7 +225,7 @@ type peerShard struct {
 // imported wholesale from a primary's own export — the provenance that
 // lets the store accept overlapping re-shipped frames from that same
 // (epoch, primary) without retained frames to compare against (an
-// import clears the frame log). Any other stream's overlaps must still
+// import empties the local log). Any other stream's overlaps must still
 // prove byte-identity or force a resync.
 type resyncMark struct {
 	epoch   uint64
@@ -864,11 +864,15 @@ func (n *Node) shipTo(ctx context.Context, p Peer, epoch uint64, shardIdx int, l
 			if err := faultinject.Fire("repl.ship"); err != nil {
 				return err
 			}
-			// Past the buffer's reach, FramesSincePage still returns the
-			// oldest retained page: a peer holding its predecessor verifies
-			// the overlap and extends it, and one below it answers with a
-			// gap until its own heartbeat-driven catch-up pulls the state.
-			frames, _, _ := st.FramesSincePage(ps.acked, maxSinceFrames, maxSinceBytes)
+			// Past the retained log's reach, FramesSincePage still returns
+			// the oldest retained page: a peer holding its predecessor
+			// verifies the overlap and extends it, and one below it answers
+			// with a gap until its own heartbeat-driven catch-up pulls the
+			// state. A failed read is retried like a failed post.
+			frames, _, _, err := st.FramesSincePage(ps.acked, maxSinceFrames, maxSinceBytes)
+			if err != nil {
+				return fmt.Errorf("replica: read shard %d frames for %s: %w", shardIdx, p.ID, err)
+			}
 			if len(frames) == 0 {
 				return fmt.Errorf("replica: shard %d retains no frames to ship to %s", shardIdx, p.ID)
 			}

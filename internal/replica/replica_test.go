@@ -236,13 +236,13 @@ func TestShippingConvergesAtAckAll(t *testing.T) {
 }
 
 // TestPullStateCatchesUpPartitionedBackup drives state transfer's one
-// mover: a backup cut off while the primary's frame buffer rolled past
+// mover: a backup cut off while the primary's retained log rotated past
 // it pulls the primary's snapshot file, chunk by chunk, once the
 // partition heals, and the primary's write waits for that pull rather
 // than pushing state itself.
 func TestPullStateCatchesUpPartitionedBackup(t *testing.T) {
 	so := shardOptsForTest()
-	so.Store.ReplBuffer = 4
+	so.Store.SnapshotEvery = 4
 	c := newClusterWith(t, 3, so, func(id string, o *Options) {
 		o.Ack = AckAll
 		// Each ship gets this budget: room for the backup's whole pull on
@@ -276,13 +276,13 @@ func TestPullStateCatchesUpPartitionedBackup(t *testing.T) {
 }
 
 // TestFailoverMovesNoStateToCaughtUpBackup: a new primary's streams
-// start knowing nothing of its peers, and its frame buffer no longer
+// start knowing nothing of its peers, and its retained log no longer
 // reaches LSN 0. A backup that already holds the whole log verifies the
 // oldest retained page against its own and extends it; it must not be
 // sent (or pull) the whole shard, and must never be judged diverged.
 func TestFailoverMovesNoStateToCaughtUpBackup(t *testing.T) {
 	so := shard.Options{Shards: 1}
-	so.Store.ReplBuffer = 8
+	so.Store.SnapshotEvery = 8
 	c := newClusterWith(t, 3, so, nil)
 	ctx := context.Background()
 	a := c.nodes["a"]

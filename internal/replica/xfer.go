@@ -12,7 +12,7 @@ import (
 
 // Chunked, resumable state transfer on the replication plane has one
 // mover: the importer pulls. A backup whose catch-up finds the peer's
-// frame buffer trimmed past its LSN, and a dirty node's resync, GET
+// retained log starting past its LSN, and a dirty node's resync, GET
 // /v1/repl/xfer/{shard} chunk by chunk: CRC-framed byte ranges of the
 // exporter's snapshot file at its LSN when the session opened. The
 // importer steers — every ImportChunk answers the offset it needs next,
@@ -22,7 +22,7 @@ import (
 // refuses to install a session below its own LSN unless the caller
 // replaces it (a dirty node's resync): frames applied since a session
 // opened are never rolled back. The primary never pushes state; a peer
-// below its frame buffer answers shipped pages with a gap until its
+// below its retained log answers shipped pages with a gap until its
 // own pull lands.
 //
 // Installation is atomic: the store publishes nothing until the

@@ -46,6 +46,61 @@ func BenchmarkStoreReopen(b *testing.B) {
 	}
 }
 
+// BenchmarkCommit is the steady-state commit: small inserts and deletes
+// in turn on a two-node document, past the first 1 100 records, each
+// applied, appended to the WAL and published under the store mutex.
+func BenchmarkCommit(b *testing.B) {
+	s, err := Open(b.TempDir(), Options{Fsync: FsyncNever})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Create("d", "<a/>"); err != nil {
+		b.Fatal(err)
+	}
+	ops := [2]Op{{Kind: "insert", Pattern: "/a", X: "<b/>"}, {Kind: "delete", Pattern: "/a/b"}}
+	for i := 0; i < 1100; i++ {
+		if _, err := s.Submit("d", ops[i%2]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Submit("d", ops[i%2]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkShipPage reads one page of 256 committed records, the most a
+// shipped append or a catch-up page carries, as the replication shipper
+// does.
+func BenchmarkShipPage(b *testing.B) {
+	s, err := Open(b.TempDir(), Options{Fsync: FsyncNever})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Create("d", "<a/>"); err != nil {
+		b.Fatal(err)
+	}
+	ops := [2]Op{{Kind: "insert", Pattern: "/a", X: "<b/>"}, {Kind: "delete", Pattern: "/a/b"}}
+	for i := 0; i < 300; i++ {
+		if _, err := s.Submit("d", ops[i%2]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frames, _, ok, err := s.FramesSincePage(1, 256, 4<<20)
+		if err != nil || !ok || len(frames) != 256 {
+			b.Fatalf("page: %d frames, ok %v, %v", len(frames), ok, err)
+		}
+	}
+}
+
 // BenchmarkAdmitScreen runs the admission check of stale-base inserts
 // and deletes against 1–4 window entries, on one docs-small-shaped
 // document (~60 nodes): eight slots of two to four entries, and a window

@@ -146,9 +146,9 @@ func TestChaosKillEverySite(t *testing.T) {
 	mustCreate(t, s, "d", "<a/>")
 	acked := mustSubmit(t, s, "d", Op{Kind: "insert", Pattern: "/a", X: "<x/>"})
 
-	for _, site := range []string{"store.append", "store.append.partial", "store.snapshot.write"} {
+	for _, site := range []string{"store.append", "store.append.partial", "store.snapshot.write", "store.wal.rotate"} {
 		crashAt(t, s, site, func() error {
-			if site == "store.snapshot.write" {
+			if site == "store.snapshot.write" || site == "store.wal.rotate" {
 				_, err := s.Snapshot()
 				return err
 			}
@@ -160,6 +160,26 @@ func TestChaosKillEverySite(t *testing.T) {
 		// new expected state for the next crash.
 		acked = mustSubmit(t, s, "d", Op{Kind: "insert", Pattern: "/a", X: "<z/>"})
 	}
+	reopenAndCheck(t, dir, "d", acked)
+}
+
+// TestChaosRotateErrorFailsStop: an error after a snapshot renamed
+// wal.log into the kept segment, before a new wal.log exists, leaves the
+// open file no longer wal.log, so the store fail-stops. The commit that
+// triggered the snapshot is still acknowledged, since the snapshot holds
+// it, and a reopen recovers it.
+func TestChaosRotateErrorFailsStop(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	dir := t.TempDir()
+	s := openTest(t, dir, Options{Fsync: FsyncAlways, SnapshotEvery: 3})
+	mustCreate(t, s, "d", "<a/>")
+	mustSubmit(t, s, "d", Op{Kind: "insert", Pattern: "/a", X: "<x/>"})
+	faultinject.Arm("store.wal.rotate", faultinject.Fault{Kind: faultinject.KindError, Times: 1})
+	acked := mustSubmit(t, s, "d", Op{Kind: "insert", Pattern: "/a", X: "<y/>"})
+	if _, err := s.Submit("d", Op{Kind: "insert", Pattern: "/a", X: "<z/>"}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("commit after a failed rotation: %v, want ErrClosed", err)
+	}
+	faultinject.Reset()
 	reopenAndCheck(t, dir, "d", acked)
 }
 

@@ -13,8 +13,9 @@ import (
 
 // FuzzWALRecord throws arbitrary bytes at the WAL's frame scanner and
 // record decoder: neither may panic, the scanner must never read past
-// its input or emit frames that do not re-verify, and a valid prefix
-// must round-trip through re-encoding.
+// its input or emit frames that do not re-verify, a valid prefix must
+// round-trip through re-encoding, and recovery's LSN peek must read the
+// LSN of every record the encoder writes.
 func FuzzWALRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("XCWAL001"))
@@ -58,6 +59,9 @@ func FuzzWALRecord(f *testing.F) {
 			back, err := decodeRecord(out)
 			if err != nil || back != rec {
 				t.Fatalf("record round trip: %+v vs %+v (%v)", back, rec, err)
+			}
+			if lsn, ok := recordLSN(out); lsn != rec.LSN || ok != (rec.LSN != 0) {
+				t.Fatalf("recordLSN(%q) = %d, %v; want %d", out, lsn, ok, rec.LSN)
 			}
 		}
 	})

@@ -249,11 +249,13 @@ func TestRecoveryIdempotent(t *testing.T) {
 	}
 }
 
-// TestRecoveryRefusesLSNGapAfterSnapshotFallback: the WAL is truncated
-// at each snapshot, so when the newest snapshot fails verification and
-// recovery falls back to an older generation, the WAL's records start
-// past a hole of acknowledged commits. Replaying them onto the older
-// base would fabricate a state that never existed; Open must refuse.
+// TestRecoveryRefusesLSNGapAfterSnapshotFallback: each snapshot rotates
+// the WAL, and the kept segment holds the records between the two
+// newest snapshots. When that segment is gone and the newest snapshot
+// fails verification, recovery falls back to an older generation and
+// wal.log's records start past a hole of acknowledged commits.
+// Replaying them onto the older base would fabricate a state that never
+// existed; Open must refuse.
 func TestRecoveryRefusesLSNGapAfterSnapshotFallback(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, Options{})
@@ -263,7 +265,7 @@ func TestRecoveryRefusesLSNGapAfterSnapshotFallback(t *testing.T) {
 	}
 	mustSubmit(t, s, "d", Op{Kind: "insert", Pattern: "/a", X: "<x/>"}) // lsn 2
 	if _, err := s.Snapshot(); err != nil {
-		t.Fatal(err) // snapshot at lsn 2; the WAL restarts empty
+		t.Fatal(err) // snapshot at lsn 2; wal.log restarts empty
 	}
 	mustSubmit(t, s, "d", Op{Kind: "insert", Pattern: "/a", X: "<y/>"}) // lsn 3, in the WAL
 	s.Close()
@@ -273,6 +275,9 @@ func TestRecoveryRefusesLSNGapAfterSnapshotFallback(t *testing.T) {
 		t.Fatalf("want 2 snapshot generations, got %v", names)
 	}
 	corruptFile(t, filepath.Join(dir, names[0]), -3)
+	if err := os.Remove(filepath.Join(dir, keptName)); err != nil {
+		t.Fatal(err) // the kept segment holds lsn 2
+	}
 
 	// Fallback lands on the lsn-1 snapshot, but the WAL resumes at
 	// lsn 3: lsn 2 is an acknowledged commit nothing on disk can

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -12,12 +13,15 @@ import (
 // Replication support: a store can export the committed WAL frames past
 // an LSN (the primary side of log shipping) and apply frames produced
 // elsewhere (the backup side), with the same verify-then-commit
-// discipline the live path and recovery use. Frames carry the exact
-// payload bytes that hit the primary's WAL plus their CRC-32C, so a
-// backup re-verifies the checksum on receipt, re-applies the record
-// through the normal mutation path, and re-checks the AHU digest the
-// record promised — byte corruption in flight, on either disk, or a
-// divergent replica all surface as hard errors, never silent skew.
+// discipline the live path and recovery use. Frames are read from the
+// WAL files themselves, the kept segment and wal.log, so the shipping
+// horizon is every record past the older of the two newest snapshots,
+// and it survives a restart. Frames carry the exact payload bytes of
+// the primary's WAL plus their CRC-32C, so a backup re-verifies the
+// checksum on receipt, re-applies the record through the normal
+// mutation path, and re-checks the AHU digest the record promised —
+// byte corruption in flight, on either disk, or a divergent replica all
+// surface as hard errors, never silent skew.
 
 // ReplFrame is one committed WAL record in transit between replicas.
 // Payload is the record's exact WAL payload bytes; CRC is their
@@ -30,69 +34,54 @@ type ReplFrame struct {
 
 // ErrReplGap reports that ApplyFrames was handed a frame that does not
 // extend the local log contiguously: the shipper must back up and
-// re-send from the receiver's actual LSN (or, past its frame buffer,
+// re-send from the receiver's actual LSN (or, past its retained log,
 // wait for the receiver to pull full state).
 var ErrReplGap = errors.New("store: replication frame gap")
 
 // ErrReplDiverged reports that a shipped frame overlaps the local log
 // at an LSN this store has already committed, but with different
-// content (or content the bounded frame log can no longer verify). The
+// content (or content its retained log can no longer verify). The
 // receiver does not hold the sender's write at that LSN — it holds
 // something else — and must resync wholesale rather than let the
 // sender treat it as replicated.
 var ErrReplDiverged = errors.New("store: replicated frame diverges from the local log")
 
-// pushReplFrame retains a just-committed record for shipping; the
-// caller holds s.mu. The log is bounded: once it exceeds the configured
-// buffer, the oldest frames fall off and lagging peers must catch up by
-// full-state transfer instead.
-func (s *Store) pushReplFrame(lsn uint64, payload []byte) {
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
-	s.replLog = append(s.replLog, ReplFrame{
-		LSN:     lsn,
-		CRC:     crc32.Checksum(cp, castagnoli),
-		Payload: cp,
-	})
-	s.replLog = trimFront(s.replLog, s.opts.ReplBuffer)
+// FramesSince is FramesSincePage without a budget: every retained frame
+// past after.
+func (s *Store) FramesSince(after uint64) (frames []ReplFrame, ok bool, err error) {
+	frames, _, ok, err = s.FramesSincePage(after, 0, 0)
+	return frames, ok, err
 }
 
-// FramesSince returns the committed frames with LSN > after, oldest
-// first. ok is false when the bounded frame log no longer reaches back
-// to after+1 — the reader must fall back to full-state transfer — and
-// frames then start at the oldest retained frame instead. An up-to-date
-// peer (after >= current LSN) gets an empty slice and ok=true.
-func (s *Store) FramesSince(after uint64) (frames []ReplFrame, ok bool) {
-	frames, _, ok = s.FramesSincePage(after, 0, 0)
-	return frames, ok
-}
-
-// FramesSincePage is FramesSince with a response budget: at most
-// maxFrames frames totalling at most maxBytes of payload (both
-// ignored when <= 0; the first frame always fits, so progress is
-// guaranteed). more is true when budget — not the log — ended the
-// page, and the caller should come back for the rest.
-func (s *Store) FramesSincePage(after uint64, maxFrames, maxBytes int) (frames []ReplFrame, more, ok bool) {
+// FramesSincePage returns the committed frames with LSN > after, oldest
+// first, read from the WAL files, within a response budget: at most
+// maxFrames frames totalling at most maxBytes of payload (both ignored
+// when <= 0; the first frame always fits, so progress is guaranteed).
+// more is true when budget — not the log — ended the page, and the
+// caller should come back for the rest. ok is false when the retained
+// log no longer reaches back to after+1 — the reader must fall back to
+// full-state transfer — and the page then starts at the oldest retained
+// frame instead. An up-to-date peer (after >= current LSN) gets an
+// empty page and ok=true. A closed store answers ErrClosed, and a
+// failed read its error: never an empty page.
+func (s *Store) FramesSincePage(after uint64, maxFrames, maxBytes int) (frames []ReplFrame, more, ok bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return nil, false, false, ErrClosed
+	}
 	if after >= s.lsn {
-		return nil, false, true
+		return nil, false, true, nil
 	}
-	ok = len(s.replLog) > 0 && s.replLog[0].LSN <= after+1
-	bytes := 0
-	for _, f := range s.replLog {
-		if f.LSN <= after {
-			continue
-		}
-		if len(frames) > 0 &&
-			((maxFrames > 0 && len(frames) >= maxFrames) ||
-				(maxBytes > 0 && bytes+len(f.Payload) > maxBytes)) {
-			return frames, true, ok
-		}
-		frames = append(frames, f)
-		bytes += len(f.Payload)
+	oldest, retained := s.w.oldest()
+	if !retained {
+		return nil, false, false, nil
 	}
-	return frames, false, ok
+	frames, more, err = s.w.frames(max(after+1, oldest), maxFrames, maxBytes)
+	if err != nil {
+		return nil, false, false, err
+	}
+	return frames, more, oldest <= after+1, nil
 }
 
 // ApplyFrames applies replicated frames to this store in order and
@@ -115,7 +104,7 @@ func (s *Store) FramesSincePage(after uint64, maxFrames, maxBytes int) (frames [
 // verifiedFloor is the caller's provenance bound: LSNs at or below it
 // are known to match the sender's log by construction (this store's
 // state was imported wholesale from that primary's own export, which
-// also cleared the frame log), so overlaps there verify without
+// also emptied the local log), so overlaps there verify without
 // retained frames. Pass 0 when no such import backs the stream.
 func (s *Store) ApplyFrames(ctx context.Context, frames []ReplFrame, verifiedFloor uint64) (uint64, error) {
 	sp := span.FromContext(ctx).Child("store.repl.apply")
@@ -141,7 +130,7 @@ func (s *Store) ApplyFrames(ctx context.Context, frames []ReplFrame, verifiedFlo
 		if f.LSN <= s.lsn {
 			// A duplicate re-ship is only acceptable when the local log
 			// provably holds the same record — by import provenance below
-			// the floor, or byte-identity against the retained frame log.
+			// the floor, or byte-identity against the retained log.
 			// Skipping unverified would let a peer that is ahead with
 			// DIFFERENT content pass as holding writes it never saw.
 			if f.LSN > verifiedFloor {
@@ -186,7 +175,6 @@ func (s *Store) ApplyFrames(ctx context.Context, frames []ReplFrame, verifiedFlo
 		prep()
 		s.advanceLSNLocked(rec.LSN)
 		wm = rec.LSN
-		s.pushReplFrame(rec.LSN, f.Payload)
 		s.m.Add("store.repl.applied", 1)
 		applied++
 		s.maybeSnapshotLocked()
@@ -216,23 +204,23 @@ func (s *Store) ApplyFrames(ctx context.Context, frames []ReplFrame, verifiedFlo
 }
 
 // verifyOverlapLocked checks a shipped frame at or below the current
-// LSN against the retained local frame log (rebuilt from the WAL on
-// recovery, so restarts keep it verifiable). nil means the local record
-// is byte-identical — a true duplicate re-ship. Different content, or a
-// frame too old for the bounded log to check, is ErrReplDiverged: this
-// store cannot prove it holds the sender's write, so it must not be
-// counted as holding it. The caller holds s.mu.
+// LSN against the local record in the retained log. nil means the two
+// are byte-identical — a true duplicate re-ship. Different content, or a
+// frame older than the retained log, is ErrReplDiverged: this store
+// cannot prove it holds the sender's write, so it must not be counted
+// as holding it. A failed read is an error of its own. The caller holds
+// s.mu.
 func (s *Store) verifyOverlapLocked(f ReplFrame) error {
-	if len(s.replLog) > 0 && f.LSN >= s.replLog[0].LSN {
-		if i := int(f.LSN - s.replLog[0].LSN); i < len(s.replLog) {
-			local := s.replLog[i]
-			if local.LSN == f.LSN && local.CRC == f.CRC && len(local.Payload) == len(f.Payload) {
-				return nil
-			}
-			return fmt.Errorf("store: repl frame lsn %d: local log holds different content (local crc %08x, shipped %08x): %w",
-				f.LSN, local.CRC, f.CRC, ErrReplDiverged)
-		}
+	local, _, err := s.w.frames(f.LSN, 1, 0)
+	switch {
+	case err != nil:
+		return err
+	case len(local) == 0:
+		return fmt.Errorf("store: repl frame lsn %d at or below local lsn %d is not retained for verification: %w",
+			f.LSN, s.lsn, ErrReplDiverged)
+	case !bytes.Equal(local[0].Payload, f.Payload):
+		return fmt.Errorf("store: repl frame lsn %d: local log holds different content (local crc %08x, shipped %08x): %w",
+			f.LSN, local[0].CRC, f.CRC, ErrReplDiverged)
 	}
-	return fmt.Errorf("store: repl frame lsn %d at or below local lsn %d is not retained for verification: %w",
-		f.LSN, s.lsn, ErrReplDiverged)
+	return nil
 }

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"strings"
 	"testing"
@@ -10,13 +12,33 @@ import (
 	"xmlconflict/internal/faultinject"
 )
 
+// framesSince is FramesSince for a test: a read error fails it.
+func framesSince(t *testing.T, s *Store, after uint64) ([]ReplFrame, bool) {
+	t.Helper()
+	frames, ok, err := s.FramesSince(after)
+	if err != nil {
+		t.Fatalf("FramesSince(%d): %v", after, err)
+	}
+	return frames, ok
+}
+
+// framesPage is FramesSincePage for a test: a read error fails it.
+func framesPage(t *testing.T, s *Store, after uint64, maxFrames, maxBytes int) (frames []ReplFrame, more, ok bool) {
+	t.Helper()
+	frames, more, ok, err := s.FramesSincePage(after, maxFrames, maxBytes)
+	if err != nil {
+		t.Fatalf("FramesSincePage(%d): %v", after, err)
+	}
+	return frames, more, ok
+}
+
 // shipAll moves every frame past dst's LSN from src to dst, the way the
 // replica shipper does.
 func shipAll(t *testing.T, src, dst *Store) {
 	t.Helper()
-	frames, ok := src.FramesSince(dst.LSN())
+	frames, ok := framesSince(t, src, dst.LSN())
 	if !ok {
-		t.Fatalf("FramesSince(%d) fell off the buffer", dst.LSN())
+		t.Fatalf("FramesSince(%d) fell off the retained log", dst.LSN())
 	}
 	if _, err := dst.ApplyFrames(context.Background(), frames, 0); err != nil {
 		t.Fatalf("ApplyFrames: %v", err)
@@ -34,7 +56,7 @@ func TestApplyFramesOneFsyncPerBatch(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		mustSubmit(t, primary, "d", Op{Kind: "insert", Pattern: "/a", X: "<x/>"})
 	}
-	frames, ok := primary.FramesSince(0)
+	frames, ok := framesSince(t, primary, 0)
 	if !ok || len(frames) != 8 {
 		t.Fatalf("FramesSince(0) = %d frames, ok %v; want 8", len(frames), ok)
 	}
@@ -95,9 +117,9 @@ func TestReplFrameShipping(t *testing.T) {
 	}
 
 	// Re-shipping the same frames must be an idempotent no-op.
-	frames, ok := primary.FramesSince(0)
+	frames, ok := framesSince(t, primary, 0)
 	if !ok {
-		t.Fatal("full history fell off the buffer")
+		t.Fatal("full history fell off the retained log")
 	}
 	if _, err := backup.ApplyFrames(context.Background(), frames, 0); err != nil {
 		t.Fatalf("duplicate ship: %v", err)
@@ -130,7 +152,7 @@ func TestReplFramesSurviveRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	frames, ok := s2.FramesSince(0)
+	frames, ok := framesSince(t, s2, 0)
 	if !ok || len(frames) != 2 {
 		t.Fatalf("after restart FramesSince(0) = %d frames, ok=%v; want 2, true", len(frames), ok)
 	}
@@ -153,7 +175,7 @@ func TestReplGapAndCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	frames, _ := primary.FramesSince(0)
+	frames, _ := framesSince(t, primary, 0)
 
 	// A gap (skipping the first frame) must be refused with ErrReplGap
 	// and leave the backup untouched.
@@ -193,8 +215,8 @@ func TestReplGapAndCorruption(t *testing.T) {
 	}
 }
 
-func TestReplBufferFallsBackToState(t *testing.T) {
-	primary, err := Open(t.TempDir(), Options{Fsync: FsyncNever, ReplBuffer: 4})
+func TestShipHorizonFallsBackToState(t *testing.T) {
+	primary, err := Open(t.TempDir(), Options{Fsync: FsyncNever, SnapshotEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,8 +229,8 @@ func TestReplBufferFallsBackToState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, ok := primary.FramesSince(0); ok {
-		t.Fatal("FramesSince(0) should have fallen off a 4-frame buffer")
+	if _, ok := framesSince(t, primary, 0); ok {
+		t.Fatal("FramesSince(0) should have fallen off a log rotated every 4 records")
 	}
 
 	// Full-state transfer is the fallback.
@@ -264,6 +286,101 @@ func TestReplBufferFallsBackToState(t *testing.T) {
 	}
 }
 
+// TestShipPagesCrossRotation: pages read from the kept segment and on
+// into wal.log, under either budget, equal the frames a store that never
+// rotates ships for the same commits, and apply on a backup.
+func TestShipPagesCrossRotation(t *testing.T) {
+	rotating := openTest(t, t.TempDir(), Options{Fsync: FsyncNever, SnapshotEvery: 5})
+	plain := openTest(t, t.TempDir(), Options{Fsync: FsyncNever})
+	for _, s := range []*Store{rotating, plain} {
+		mustCreate(t, s, "d", "<r/>")
+		for i := 0; i < 11; i++ {
+			mustSubmit(t, s, "d", Op{Kind: "insert", Pattern: "/r", X: fmt.Sprintf("<n%d/>", i)})
+		}
+	}
+	// Snapshots at 5 and 10: the kept segment holds 6..10, wal.log 11..12.
+	if _, ok := framesSince(t, rotating, 4); ok {
+		t.Fatal("the retained log reaches below the older snapshot")
+	}
+	want, _ := framesSince(t, plain, 5)
+	for _, budget := range []struct{ frames, bytes int }{{3, 0}, {0, 200}, {0, 0}} {
+		var got []ReplFrame
+		for after, more := uint64(5), true; more; {
+			page, m, ok := framesPage(t, rotating, after, budget.frames, budget.bytes)
+			if !ok || len(page) == 0 {
+				t.Fatalf("budget %+v: page after %d: %d frames, ok %v", budget, after, len(page), ok)
+			}
+			got, more, after = append(got, page...), m, page[len(page)-1].LSN
+		}
+		if len(got) != len(want) {
+			t.Fatalf("budget %+v: %d frames, want %d", budget, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].LSN != want[i].LSN || got[i].CRC != want[i].CRC || !bytes.Equal(got[i].Payload, want[i].Payload) {
+				t.Fatalf("budget %+v: frame %d is lsn %d crc %08x, want lsn %d crc %08x", budget, i, got[i].LSN, got[i].CRC, want[i].LSN, want[i].CRC)
+			}
+		}
+	}
+	backup := openTest(t, t.TempDir(), Options{Fsync: FsyncNever})
+	head, _ := framesSince(t, plain, 0)
+	if _, err := backup.ApplyFrames(context.Background(), head[:5], 0); err != nil {
+		t.Fatal(err)
+	}
+	shipAll(t, rotating, backup)
+	pi, _ := rotating.Get("d")
+	if bi, err := backup.Get("d"); err != nil || bi.Digest != pi.Digest || backup.LSN() != 12 {
+		t.Fatalf("backup at lsn %d with %s (%v), want lsn 12 with %s", backup.LSN(), bi.XML, err, pi.XML)
+	}
+}
+
+// TestReopenedStoreShipsFromKeptSegment: the shipping horizon is read
+// from the WAL files, so a restart keeps every record past the older of
+// the two newest snapshots, not only those since the newest.
+func TestReopenedStoreShipsFromKeptSegment(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, Options{Fsync: FsyncNever, SnapshotEvery: 4})
+	mustCreate(t, s, "d", "<r/>")
+	for i := 0; i < 9; i++ {
+		mustSubmit(t, s, "d", Op{Kind: "insert", Pattern: "/r"})
+	}
+	before, _ := framesSince(t, s, 4)
+	s.Close()
+
+	re := openTest(t, dir, Options{Fsync: FsyncNever, SnapshotEvery: 4})
+	after, ok := framesSince(t, re, 4)
+	if !ok || len(after) != 6 || len(after) != len(before) {
+		t.Fatalf("reopened FramesSince(4) = %d frames, ok %v; want the 6 (5..10) shipped before the restart", len(after), ok)
+	}
+	for i := range after {
+		if after[i].LSN != before[i].LSN || after[i].CRC != before[i].CRC {
+			t.Fatalf("frame %d: lsn %d crc %08x after the restart, lsn %d crc %08x before", i, after[i].LSN, after[i].CRC, before[i].LSN, before[i].CRC)
+		}
+	}
+	if _, ok := framesSince(t, re, 3); ok {
+		t.Fatal("FramesSince(3) reaches below the kept segment")
+	}
+}
+
+// TestReplOverlapBelowRetainedLogRefused: a re-shipped frame the
+// receiver's retained log no longer holds cannot be verified, so it is
+// refused as divergence; one it holds verifies by its header.
+func TestReplOverlapBelowRetainedLogRefused(t *testing.T) {
+	primary := openTest(t, t.TempDir(), Options{Fsync: FsyncNever})
+	backup := openTest(t, t.TempDir(), Options{Fsync: FsyncNever, SnapshotEvery: 3})
+	mustCreate(t, primary, "d", "<r/>")
+	for i := 0; i < 9; i++ {
+		mustSubmit(t, primary, "d", Op{Kind: "insert", Pattern: "/r"})
+	}
+	shipAll(t, primary, backup) // snapshots at 3, 6, 9: the backup retains 7..10
+	frames, _ := framesSince(t, primary, 0)
+	if lsn, err := backup.ApplyFrames(context.Background(), frames[6:], 0); err != nil || lsn != 10 {
+		t.Fatalf("overlap inside the retained log: lsn %d, %v; want 10, nil", lsn, err)
+	}
+	if _, err := backup.ApplyFrames(context.Background(), frames[5:], 0); !errors.Is(err, ErrReplDiverged) {
+		t.Fatalf("overlap below the retained log: %v, want ErrReplDiverged", err)
+	}
+}
+
 // TestReplDivergentOverlapRefused: a receiver whose log already holds
 // DIFFERENT content at a shipped LSN must refuse with ErrReplDiverged,
 // not skip the frame and let the sender count it as replicated — that
@@ -288,7 +405,7 @@ func TestReplDivergentOverlapRefused(t *testing.T) {
 	if _, err := b.Create("d", "<r><from-b/></r>"); err != nil {
 		t.Fatal(err)
 	}
-	frames, _ := a.FramesSince(0)
+	frames, _ := framesSince(t, a, 0)
 	if _, err := b.ApplyFrames(context.Background(), frames, 0); !errors.Is(err, ErrReplDiverged) {
 		t.Fatalf("divergent overlap: got %v, want ErrReplDiverged", err)
 	}
@@ -333,7 +450,7 @@ func TestReplWatermarkBoundsDuplicateShip(t *testing.T) {
 	}
 	shipAll(t, primary, backup) // backup at lsn 4
 
-	frames, _ := primary.FramesSince(0)
+	frames, _ := framesSince(t, primary, 0)
 	lsn, err := backup.ApplyFrames(context.Background(), frames[:2], 0)
 	if err != nil {
 		t.Fatalf("duplicate prefix ship: %v", err)
@@ -372,7 +489,7 @@ func TestReplOverlapVerifiedByImportProvenance(t *testing.T) {
 	imported := primary.LSN()
 
 	// Without the floor, the overlap is unverifiable: refuse.
-	frames, _ := primary.FramesSince(0)
+	frames, _ := framesSince(t, primary, 0)
 	if _, err := backup.ApplyFrames(context.Background(), frames, 0); !errors.Is(err, ErrReplDiverged) {
 		t.Fatalf("unverifiable overlap without floor: got %v, want ErrReplDiverged", err)
 	}
@@ -386,7 +503,7 @@ func TestReplOverlapVerifiedByImportProvenance(t *testing.T) {
 	if _, err := primary.Submit("d", Op{Kind: "insert", Pattern: "/a"}); err != nil {
 		t.Fatal(err)
 	}
-	frames, _ = primary.FramesSince(0)
+	frames, _ = framesSince(t, primary, 0)
 	lsn, err = backup.ApplyFrames(context.Background(), frames, imported)
 	if err != nil || lsn != primary.LSN() || backup.LSN() != primary.LSN() {
 		t.Fatalf("ship past floor: lsn=%d err=%v backup=%d, want all at %d", lsn, err, backup.LSN(), primary.LSN())

@@ -12,11 +12,13 @@
 // monotonic LSNs and an fsync policy: always (a commit is acknowledged
 // after an fsync that covers it, which commits waiting together share)
 // or never, plus periodic whole-store snapshots (canonical
-// serialization + AHU digests) that truncate the log. Recovery replays
-// the WAL over the newest valid snapshot, cleanly cutting any torn
-// tail and re-verifying every replayed record's checksum and digest,
-// so a crash anywhere — including mid-append — converges to exactly
-// the longest durable prefix of acknowledged commits.
+// serialization + AHU digests) that rotate the log, keeping the segment
+// since the previous snapshot. Recovery replays the WAL over the newest
+// valid snapshot, cleanly cutting any torn tail and re-verifying every
+// replayed record's checksum and digest, so a crash anywhere —
+// including mid-append — converges to exactly the longest durable
+// prefix of acknowledged commits. Replication ships committed records
+// from the same two log files.
 package store
 
 import (
@@ -45,25 +47,20 @@ import (
 type Options struct {
 	// Fsync selects the durability policy for commits.
 	Fsync FsyncPolicy
-	// SnapshotEvery takes an automatic snapshot (and truncates the WAL)
-	// after this many appended records; 0 snapshots only on demand.
+	// SnapshotEvery takes an automatic snapshot after this many
+	// appended records, rotating the WAL; 0 snapshots only on demand.
+	// Replication ships every record past the older of the two newest
+	// snapshots (FramesSincePage), so it also sets how far behind a
+	// peer may fall before it must catch up by full-state transfer.
 	SnapshotEvery int
 	// HistoryWindow is how many committed updates per document remain
 	// available for optimistic admission checks (default 32). Bases
 	// older than the window are rejected with ErrStaleBase.
 	HistoryWindow int
-	// KeepSnapshots is how many snapshot generations survive pruning
-	// (default 2: the newest plus one fallback).
-	KeepSnapshots int
 	// Limits bounds document parsing everywhere the store parses XML
 	// (Create, WAL replay, snapshot load). Zero value means
 	// xmltree.DefaultParseLimits.
 	Limits xmltree.ParseLimits
-	// ReplBuffer is how many committed WAL frames stay buffered in
-	// memory for replication shipping (FramesSince); peers that fall
-	// further behind catch up by full-state transfer. 0 or less means
-	// the default 1024.
-	ReplBuffer int
 	// Metrics receives the store.* counters and timers; nil gets a
 	// private registry.
 	Metrics *telemetry.Metrics
@@ -72,12 +69,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.HistoryWindow <= 0 {
 		o.HistoryWindow = 32
-	}
-	if o.KeepSnapshots <= 0 {
-		o.KeepSnapshots = 2
-	}
-	if o.ReplBuffer <= 0 {
-		o.ReplBuffer = 1024
 	}
 	if o.Limits == (xmltree.ParseLimits{}) {
 		o.Limits = xmltree.DefaultParseLimits()
@@ -164,7 +155,6 @@ type Store struct {
 	lsnCh     chan struct{} // closed (and dropped) whenever lsn advances; see WaitLSN
 	sinceSnap int
 	closed    bool
-	replLog   []ReplFrame // bounded tail of committed frames for shipping
 
 	// detector memoizes the static verdicts admit asks before each
 	// concrete check (see settled). Every store owns one and leaves it
@@ -202,7 +192,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	var snapLSN uint64
 	hadState := len(names) > 0
 	for _, name := range names {
 		lsn, docs, err := loadSnapshot(filepath.Join(dir, name), opts.Limits)
@@ -210,12 +199,13 @@ func Open(dir string, opts Options) (*Store, error) {
 			s.m.Add("store.bad_snapshots", 1)
 			continue
 		}
-		s.docs, snapLSN, s.lsn = docs, lsn, lsn
+		s.docs, s.lsn = docs, lsn
 		break
 	}
 
-	// 2. Open the log, cutting any torn tail the framing scan finds.
-	w, payloads, torn, err := openWAL(filepath.Join(dir, "wal.log"), opts.Fsync, s.m)
+	// 2. Open the log: wal.log, cutting any torn tail the framing scan
+	// finds, and the kept segment, which is read but never cut.
+	w, payloads, torn, err := openWAL(filepath.Join(dir, walName), opts.Fsync, s.m)
 	if err != nil {
 		return nil, err
 	}
@@ -223,60 +213,50 @@ func Open(dir string, opts Options) (*Store, error) {
 	if torn {
 		s.m.Add("store.torn_tail", 1)
 	}
-	hadState = hadState || len(payloads) > 0
+	keptPayloads, err := w.openKept()
+	if err != nil {
+		w.Close()
+		return nil, err
+	}
+	hadState = hadState || len(payloads) > 0 || len(keptPayloads) > 0
 
-	// 3. Replay records past the snapshot. LSNs are assigned
-	// contiguously at commit time, so the WAL must be a contiguous run:
-	// a gap or regression is corruption the checksum happened to bless.
-	// A record that fails to decode, apply, or re-verify its digest
-	// ends the durable prefix right there: it and everything after it
-	// are truncated, exactly as a torn tail is.
-	off := int64(len(walMagic))
-	prevLSN := uint64(0)
-	replayed := false
-	for _, payload := range payloads {
-		abort := func(counter string) error {
-			s.m.Add(counter, 1)
-			if err := w.truncateTo(off); err != nil {
-				return err
-			}
-			return nil
+	// 3. Replay the kept segment, then wal.log, past the snapshot. The
+	// kept segment ends at the newest snapshot, so it has records to
+	// replay only when that snapshot failed verification and an older
+	// one loaded. A record that fails to decode, apply, or re-verify its
+	// digest ends the durable prefix right there: in wal.log it and
+	// everything after it are truncated, exactly as a torn tail is.
+	kept, _, err := s.replay(keptPayloads)
+	var cur segment
+	stopped := false
+	if err == nil {
+		cur, stopped, err = s.replay(payloads)
+	}
+	if err == nil && stopped {
+		s.m.Add("store.replay_aborts", 1)
+		err = w.truncateTo(cur.end())
+	}
+	// wal.log's next record is s.lsn+1. Records that do not lead there
+	// lie at or below the snapshot, which holds their effects (an
+	// install stopped before emptying the log): they are dropped, so
+	// the file stays one run of LSNs.
+	if err == nil && cur.next() != s.lsn+1 {
+		if len(cur.ends) > 0 {
+			err = w.truncateTo(int64(len(walMagic)))
 		}
-		rec, derr := decodeRecord(payload)
-		if derr != nil || rec.LSN == 0 || (prevLSN != 0 && rec.LSN != prevLSN+1) {
-			if err := abort("store.replay_aborts"); err != nil {
-				return nil, err
-			}
-			break
-		}
-		prevLSN = rec.LSN
-		if rec.LSN > snapLSN {
-			// The first replayed record must sit exactly one past the
-			// snapshot. A gap means the WAL was truncated at a newer
-			// snapshot that failed verification: the missing LSNs are
-			// acknowledged commits nothing on disk can reproduce, so
-			// refuse to open rather than recover a state that never
-			// existed (an older base with newer creates/drops applied).
-			if !replayed && rec.LSN != snapLSN+1 {
-				w.Close()
-				return nil, fmt.Errorf(
-					"store: wal resumes at lsn %d but the newest loadable snapshot is at lsn %d: acknowledged commits %d..%d are unrecoverable (a newer snapshot failed verification); refusing to open",
-					rec.LSN, snapLSN, snapLSN+1, rec.LSN-1)
-			}
-			replayed = true
-			commit, err := s.prepareReplayed(rec)
-			if err != nil {
-				if err := abort("store.replay_aborts"); err != nil {
-					return nil, err
-				}
-				break
-			}
-			commit()
-			s.m.Add("store.replayed", 1)
-			s.lsn = rec.LSN
-			s.pushReplFrame(rec.LSN, payload)
-		}
-		off += int64(frameHead + len(payload))
+		cur = segment{first: s.lsn + 1}
+	}
+	if err != nil {
+		w.Close()
+		return nil, err
+	}
+	w.cur.first, w.cur.ends = cur.first, cur.ends
+	// The kept segment is shipped from only where wal.log continues it.
+	if len(kept.ends) > 0 && kept.next() == cur.first {
+		w.kept.first, w.kept.ends = kept.first, kept.ends
+	} else if w.kept.f != nil {
+		w.kept.f.Close()
+		w.kept.f = nil
 	}
 
 	if hadState {
@@ -286,13 +266,57 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// truncateTo cuts the WAL at off (used when replay stops trusting the
+// replay walks one log segment's records in order and applies each one
+// past the store's LSN through prepareReplayed; of the others it reads
+// only the LSN. It returns the index of the records it accepted, and
+// stopped when a record that fails to decode, breaks the segment's run
+// of LSNs, fails to apply or does not reproduce its digest ended the
+// walk there. A record past the store's LSN that does not follow it is
+// an error: the LSNs between are acknowledged commits nothing on disk
+// can reproduce (a newer snapshot failed verification, and the log
+// since the older one is gone), and replaying onto the older base would
+// recover a state that never existed.
+func (s *Store) replay(payloads [][]byte) (idx segment, stopped bool, err error) {
+	end := int64(len(walMagic))
+	for _, payload := range payloads {
+		lsn, ok := recordLSN(payload)
+		if !ok || (len(idx.ends) > 0 && lsn != idx.next()) {
+			return idx, true, nil
+		}
+		if lsn > s.lsn+1 {
+			return idx, false, fmt.Errorf(
+				"store: wal resumes at lsn %d but recovery reached lsn %d: acknowledged commits %d..%d are unrecoverable (a newer snapshot failed verification); refusing to open",
+				lsn, s.lsn, s.lsn+1, lsn-1)
+		}
+		if lsn > s.lsn {
+			rec, err := decodeRecord(payload)
+			if err != nil || rec.LSN != lsn {
+				return idx, true, nil
+			}
+			commit, err := s.prepareReplayed(rec)
+			if err != nil {
+				return idx, true, nil
+			}
+			commit()
+			s.m.Add("store.replayed", 1)
+			s.lsn = lsn
+		}
+		if len(idx.ends) == 0 {
+			idx.first = lsn
+		}
+		end += int64(frameHead + len(payload))
+		idx.ends = append(idx.ends, end)
+	}
+	return idx, false, nil
+}
+
+// truncateTo cuts wal.log at off (used when replay stops trusting the
 // file mid-way).
 func (w *wal) truncateTo(off int64) error {
-	if err := w.f.Truncate(off); err != nil {
+	if err := w.cur.f.Truncate(off); err != nil {
 		return fmt.Errorf("store: truncate wal: %w", err)
 	}
-	if _, err := w.f.Seek(off, 0); err != nil {
+	if _, err := w.cur.f.Seek(off, 0); err != nil {
 		return fmt.Errorf("store: seek wal: %w", err)
 	}
 	w.off = off
@@ -954,11 +978,6 @@ func (s *Store) append(rec record, parent *span.Span) error {
 	_, err = s.w.Append(payload)
 	wsp.Fail(err)
 	wsp.End()
-	if err == nil {
-		// Append success means the caller commits unconditionally, so
-		// the frame is retained for replication shipping right here.
-		s.pushReplFrame(rec.LSN, payload)
-	}
 	return err
 }
 
@@ -984,8 +1003,9 @@ func (s *Store) guardCommit(lockedp *bool) {
 // built from what the caller saw under the mutex, a refusal included,
 // must not reveal a commit a crash could still lose. It returns err, or
 // the wait's failure. Only ErrClosed and a failed append, which reveal
-// no commit, release the mutex without it. LSN and FramesSince do not
-// wait either: replication ships frames before their fsync by design.
+// no commit, release the mutex without it. LSN and FramesSincePage do
+// not wait either: replication ships frames before their fsync by
+// design.
 func (s *Store) settle(sp *span.Span, err error) error {
 	n := s.w.pending()
 	s.mu.Unlock()
@@ -1039,7 +1059,9 @@ func (s *Store) stopLocked() error {
 
 // maybeSnapshotLocked auto-snapshots when the configured append count
 // has accumulated. Failures degrade (the WAL still has everything) and
-// are counted, never surfaced to the committing client.
+// are counted, never surfaced to the committing client, whose record
+// the WAL or the snapshot holds even when a failed rotation fail-stops
+// the store.
 func (s *Store) maybeSnapshotLocked() {
 	s.sinceSnap++
 	if s.opts.SnapshotEvery <= 0 || s.sinceSnap < s.opts.SnapshotEvery {
@@ -1050,8 +1072,15 @@ func (s *Store) maybeSnapshotLocked() {
 	}
 }
 
+// keepSnapshots is how many snapshot generations survive pruning: the
+// newest and one fallback. The kept WAL segment holds exactly the
+// records between them, so recovery can replay from the fallback to
+// where the newest stood; an older generation would have no log to
+// replay from.
+const keepSnapshots = 2
+
 // Snapshot durably captures the whole store at its current LSN and
-// truncates the WAL. Returns the snapshot LSN.
+// rotates the WAL. Returns the snapshot LSN.
 func (s *Store) Snapshot() (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1061,7 +1090,18 @@ func (s *Store) Snapshot() (uint64, error) {
 	return s.snapshotLocked()
 }
 
+// snapshotLocked writes the snapshot, then rotates the WAL, so the kept
+// segment holds the records since the snapshot before, and prunes to
+// keepSnapshots generations. A panic on the way (a crash drill) may
+// leave the log mid-rotation, so it fail-stops the store before it
+// propagates. The caller holds s.mu.
 func (s *Store) snapshotLocked() (uint64, error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.stopLocked()
+			panic(r)
+		}
+	}()
 	snap := snapshot{LSN: s.lsn}
 	for _, id := range sortedIDs(s.docs) {
 		d := s.docs[id]
@@ -1070,15 +1110,18 @@ func (s *Store) snapshotLocked() (uint64, error) {
 	if _, err := writeSnapshot(s.dir, snap); err != nil {
 		return 0, err
 	}
-	// The snapshot now durably carries every record's effect: the WAL
-	// can restart empty, and commits waiting for an fsync are satisfied.
-	if err := s.w.reset(); err != nil {
-		// Leftover records are harmless — recovery skips LSNs the
-		// snapshot already covers — so a failed truncation only wastes
-		// space.
+	// The snapshot now durably carries every record's effect, so commits
+	// waiting for an fsync are satisfied, and the log can rotate.
+	s.w.covered()
+	if renamed, err := s.w.rotate(); renamed {
+		s.stopLocked()
+		return 0, fmt.Errorf("store: wal rotation, store fail-stopped: %w", err)
+	} else if err != nil {
+		// wal.log keeps its records, which recovery skips up to the
+		// snapshot's LSN, and the next snapshot rotates it.
 		s.m.Add("store.snapshot_errors", 1)
 	}
-	pruneSnapshots(s.dir, s.opts.KeepSnapshots, snap.LSN, s.m)
+	pruneSnapshots(s.dir, keepSnapshots, snap.LSN, s.m)
 	s.sinceSnap = 0
 	s.m.Add("store.snapshots", 1)
 	return snap.LSN, nil

@@ -290,7 +290,7 @@ func TestAutoSnapshot(t *testing.T) {
 
 func TestSnapshotPruning(t *testing.T) {
 	dir := t.TempDir()
-	s := openTest(t, dir, Options{KeepSnapshots: 2})
+	s := openTest(t, dir, Options{})
 	mustCreate(t, s, "d", "<a/>")
 	for i := 0; i < 4; i++ {
 		mustSubmit(t, s, "d", Op{Kind: "insert", Pattern: "/a", X: "<x/>"})
@@ -301,6 +301,23 @@ func TestSnapshotPruning(t *testing.T) {
 	names, _ := listSnapshots(dir)
 	if len(names) != 2 {
 		t.Fatalf("kept %d snapshots, want 2: %v", len(names), names)
+	}
+}
+
+// TestSnapshotWithoutAppendsKeepsSegment: a snapshot with nothing
+// appended since the last rotation leaves the log as it is, so the kept
+// segment still holds the records before it.
+func TestSnapshotWithoutAppendsKeepsSegment(t *testing.T) {
+	s := openTest(t, t.TempDir(), Options{Fsync: FsyncNever})
+	mustCreate(t, s, "d", "<r/>")
+	mustSubmit(t, s, "d", Op{Kind: "insert", Pattern: "/r"})
+	for i := 1; i <= 2; i++ {
+		if _, err := s.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if frames, ok := framesSince(t, s, 0); !ok || len(frames) != 2 {
+			t.Fatalf("after snapshot %d: %d frames, ok %v; want both records", i, len(frames), ok)
+		}
 	}
 }
 
@@ -318,11 +335,10 @@ func TestCorruptNewestSnapshotFallsBack(t *testing.T) {
 	s.Close()
 
 	// Flip a byte inside the newest snapshot's payload: its checksum
-	// breaks and recovery must fall back to the older generation plus
-	// the (now empty) WAL... but the WAL was truncated at the newest
-	// snapshot, so fallback alone would lose the insert. Corrupt is
-	// detected, counted, and the older snapshot carries LSN 1 — the
-	// replay finds nothing, and the store surfaces the older state.
+	// breaks and recovery must fall back to the older generation. The
+	// insert was acknowledged (FsyncAlways) and wal.log is empty, but the
+	// newest snapshot rotated the log into the kept segment, so recovery
+	// replays it over the older snapshot and loses nothing.
 	names, _ := listSnapshots(dir)
 	if len(names) != 2 {
 		t.Fatalf("want 2 snapshots, got %v", names)
@@ -337,10 +353,10 @@ func TestCorruptNewestSnapshotFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Get after fallback: %v", err)
 	}
-	if info.XML != "<a/>" {
-		t.Fatalf("fallback state: %s", info.XML)
+	if info.XML != "<a><x/></a>" || info.LSN != want.LSN || info.Digest != want.Digest || s2.LSN() != 2 {
+		t.Fatalf("fallback state %s at lsn %d (store lsn %d), want the acknowledged <a><x/></a> at lsn %d",
+			info.XML, info.LSN, s2.LSN(), want.LSN)
 	}
-	_ = want
 }
 
 func TestParseLimitsEnforced(t *testing.T) {
@@ -406,6 +422,48 @@ func TestConcurrentCommitsShareFsync(t *testing.T) {
 	wg.Wait()
 	if got := faultinject.Fired("store.fsync"); got > writers*each/2 {
 		t.Fatalf("%d commits took %d fsyncs, want at most %d", writers*each, got, writers*each/2)
+	}
+}
+
+// TestConcurrentCommitsAcrossRotations: commits from several goroutines
+// under FsyncAlways with a snapshot every few records, so fsyncs run
+// outside the store mutex while snapshots rotate the log under it. Every
+// acknowledged commit survives a reopen, and the reopened store still
+// ships the records since the older snapshot.
+func TestConcurrentCommitsAcrossRotations(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, Options{Fsync: FsyncAlways, SnapshotEvery: 5})
+	const writers, each = 4, 25
+	for i := 0; i < writers; i++ {
+		mustCreate(t, s, fmt.Sprintf("d%d", i), "<a/>")
+	}
+	last := make([]Result, writers)
+	var wg sync.WaitGroup
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < each; j++ {
+				res, err := s.Submit(fmt.Sprintf("d%d", i), Op{Kind: "insert", Pattern: "/a", X: "<x/>"})
+				if err != nil {
+					t.Errorf("submit d%d: %v", i, err)
+					return
+				}
+				last[i] = res
+			}
+		}(i)
+	}
+	wg.Wait()
+	s.Close()
+
+	re := openTest(t, dir, Options{Fsync: FsyncAlways, SnapshotEvery: 5})
+	for i, want := range last {
+		if got, err := re.Get(fmt.Sprintf("d%d", i)); err != nil || got.Digest != want.Digest || got.LSN != want.LSN {
+			t.Fatalf("d%d reopened at lsn %d (%v), want the acknowledged lsn %d", i, got.LSN, err, want.LSN)
+		}
+	}
+	if frames, ok := framesSince(t, re, re.LSN()-5); !ok || len(frames) != 5 {
+		t.Fatalf("reopened store ships %d of the last 5 records, ok %v", len(frames), ok)
 	}
 }
 

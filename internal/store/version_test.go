@@ -70,12 +70,13 @@ func TestWindowPreStatesShareStructure(t *testing.T) {
 	}
 }
 
-// TestCommitAllocIndependentOfReplBuffer: once the replication frame
-// buffer and the admission window are full, a commit drops their oldest
-// entries in place, so what it allocates does not grow with the buffer.
-func TestCommitAllocIndependentOfReplBuffer(t *testing.T) {
-	perCommit := func(buffer int) float64 {
-		s := openTest(t, t.TempDir(), Options{Fsync: FsyncNever, ReplBuffer: buffer})
+// TestCommitAllocIndependentOfSnapshotEvery: once the admission window
+// is full, a commit drops its oldest entry in place, and the WAL's index
+// grows by one offset, so what a commit allocates does not grow with the
+// number of records the log keeps between snapshots.
+func TestCommitAllocIndependentOfSnapshotEvery(t *testing.T) {
+	perCommit := func(every int) float64 {
+		s := openTest(t, t.TempDir(), Options{Fsync: FsyncNever, SnapshotEvery: every})
 		mustCreate(t, s, "d", "<a/>")
 		// Insert and delete in turn so the document stays two nodes.
 		commit := func(i int) {
@@ -85,7 +86,7 @@ func TestCommitAllocIndependentOfReplBuffer(t *testing.T) {
 			}
 			mustSubmit(t, s, "d", op)
 		}
-		for i := 0; i <= buffer; i++ {
+		for i := 0; i <= every; i++ {
 			commit(i)
 		}
 		const n = 200
@@ -98,10 +99,34 @@ func TestCommitAllocIndependentOfReplBuffer(t *testing.T) {
 		return float64(after.TotalAlloc-before.TotalAlloc) / n
 	}
 	small, large := perCommit(64), perCommit(4096)
-	t.Logf("bytes allocated per commit: %.0f at ReplBuffer 64, %.0f at 4096", small, large)
+	t.Logf("bytes allocated per commit: %.0f at SnapshotEvery 64, %.0f at 4096", small, large)
 	if large > 1.5*small {
-		t.Fatalf("a commit allocates %.0f bytes at ReplBuffer 4096, %.1fx the %.0f at 64; want within 1.5x",
+		t.Fatalf("a commit allocates %.0f bytes at SnapshotEvery 4096, %.1fx the %.0f at 64; want within 1.5x",
 			large, large/small, small)
+	}
+}
+
+// TestInsertDeleteCyclesRetainNoRecords keeps a document at <r/> while
+// 512 cycles insert an 8 007-byte fragment under /r and delete it again.
+// The store retains the admission window and the WAL's index of where
+// each record ends, not the records, so the live heap grows under
+// 6 MiB: 1 024 of the records alone would take about 14 MiB.
+func TestInsertDeleteCyclesRetainNoRecords(t *testing.T) {
+	frag := "<f>" + strings.Repeat("<a/>", 2000) + "</f>"
+	s := openTest(t, t.TempDir(), Options{Fsync: FsyncNever})
+	mustCreate(t, s, "d", "<r/>")
+	before := liveHeap()
+	for i := 0; i < 512; i++ {
+		mustSubmit(t, s, "d", Op{Kind: "insert", Pattern: "/r", X: frag})
+		mustSubmit(t, s, "d", Op{Kind: "delete", Pattern: "/r/f"})
+	}
+	grew := liveHeap() - before
+	if info, err := s.Get("d"); err != nil || info.XML != "<r/>" {
+		t.Fatalf("document after the cycles: %q, %v", info.XML, err)
+	}
+	t.Logf("%d-byte fragments, 512 cycles: the live heap grew %.1f MiB", len(frag), float64(grew)/(1<<20))
+	if grew >= 6<<20 {
+		t.Fatalf("the live heap grew %.1f MiB over 512 insert/delete cycles; want under 6 MiB", float64(grew)/(1<<20))
 	}
 }
 

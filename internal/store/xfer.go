@@ -258,11 +258,13 @@ func (s *Store) ImportChunk(ctx context.Context, c XferChunk, replace bool) (nex
 // point. A failure before it leaves the store serving its old state,
 // and so does an lsn below the store's own unless replace is set: the
 // check runs under s.mu, so no frame applied meanwhile is rolled back.
-// After the rename, the WAL, whose history no longer describes this
-// state, is reset and every snapshot past lsn removed (recovery loads
-// the newest one); a failure there fail-stops the store, since memory
-// and disk would otherwise disagree about acknowledged state. The
-// caller holds xferMu.
+// The kept WAL segment belongs to the history being replaced, so it is
+// deleted, durably, before the rename: recovery can never replay it
+// over the installed snapshot. After the rename, wal.log, whose history
+// no longer describes this state, is reset and every snapshot past lsn
+// removed (recovery loads the newest one); a failure there fail-stops
+// the store, since memory and disk would otherwise disagree about
+// acknowledged state. The caller holds xferMu.
 func (s *Store) installXferLocked(ctx context.Context, lsn uint64, replace bool) error {
 	sp := span.FromContext(ctx).Child("store.repl.import")
 	defer sp.End()
@@ -292,6 +294,10 @@ func (s *Store) installXferLocked(ctx context.Context, lsn uint64, replace bool)
 		sp.Fail(err)
 		return err
 	}
+	if err := s.w.dropKept(); err != nil {
+		sp.Fail(err)
+		return err
+	}
 	if err := os.Rename(part, filepath.Join(s.dir, snapName(lsn))); err != nil {
 		err = fmt.Errorf("store: xfer publish snapshot: %w", err)
 		sp.Fail(err)
@@ -299,12 +305,11 @@ func (s *Store) installXferLocked(ctx context.Context, lsn uint64, replace bool)
 	}
 	s.docs = docs
 	s.advanceLSNLocked(lsn)
-	s.replLog = nil
 	s.sinceSnap = 0
 	s.m.Gauge("store.docs").Set(int64(len(docs)))
 	err = syncDir(s.dir)
 	if err == nil {
-		err = s.w.reset()
+		err = s.w.reset(lsn)
 	}
 	if err == nil {
 		// A deposed primary may hold snapshots past the imported LSN.
@@ -316,7 +321,7 @@ func (s *Store) installXferLocked(ctx context.Context, lsn uint64, replace bool)
 		sp.Fail(err)
 		return err
 	}
-	pruneSnapshots(s.dir, s.opts.KeepSnapshots, lsn, s.m)
+	pruneSnapshots(s.dir, keepSnapshots, lsn, s.m)
 	return nil
 }
 

@@ -215,6 +215,71 @@ func TestXferCrashMidInstall(t *testing.T) {
 	}
 }
 
+// TestXferInstallDropsKeptSegment runs an install over an importer
+// whose kept WAL segment holds its own history past the imported LSN:
+// records that would apply cleanly on the imported state. A crash inside
+// the install leaves the segment and the old state; a finished install
+// deletes the segment before publishing the snapshot, so recovery never
+// replays it over the imported state.
+func TestXferInstallDropsKeptSegment(t *testing.T) {
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	src := seedXferSource(t)
+	dir := t.TempDir()
+	dst, err := Open(dir, Options{Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipAll(t, src, dst)
+	imported := dst.LSN()
+	if _, err := dst.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := dst.Submit("doc-00", Op{Kind: "insert", Pattern: "/r", X: "<dirty/>"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := dst.Snapshot(); err != nil {
+		t.Fatal(err) // the kept segment now holds the 4 dirty records
+	}
+	dirty := dst.LSN()
+	kept := filepath.Join(dir, keptName)
+	if _, err := os.Stat(kept); err != nil {
+		t.Fatalf("no kept segment before the install: %v", err)
+	}
+
+	faultinject.Arm("store.xfer.install", faultinject.Fault{Kind: faultinject.KindError, Times: 1})
+	if _, err := pumpXferFrom(t, src, dst, xferTestChunk, "", 0, true); err == nil {
+		t.Fatal("install survived the injected crash")
+	}
+	dst.Close()
+	faultinject.Reset()
+	if dst, err = Open(dir, Options{Fsync: FsyncNever}); err != nil {
+		t.Fatalf("reopen after mid-install crash: %v", err)
+	}
+	if _, err := os.Stat(kept); err != nil || dst.LSN() != dirty {
+		t.Fatalf("after the crash: kept segment %v, lsn %d; want it kept and lsn %d", err, dst.LSN(), dirty)
+	}
+
+	if _, err := pumpXferFrom(t, src, dst, xferTestChunk, "", 0, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(kept); !os.IsNotExist(err) {
+		t.Fatalf("kept segment survived the install: %v", err)
+	}
+	dst.Close()
+	dst, err = Open(dir, Options{Fsync: FsyncNever})
+	if err != nil {
+		t.Fatalf("reopen after the install: %v", err)
+	}
+	defer dst.Close()
+	if dst.LSN() != imported {
+		t.Fatalf("reopened at lsn %d, want the imported %d: the replaced history was replayed", dst.LSN(), imported)
+	}
+	sameDocs(t, src, dst)
+}
+
 // TestXferWrongOffsetSteersSender: the importer never errors on an
 // out-of-position chunk — it answers with the offset it needs, and an
 // unknown session is told to restart at byte zero.
@@ -290,9 +355,9 @@ func TestXferLateMoverNeverRollsBackAppliedFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	frames, ok := src.FramesSince(installed)
+	frames, ok := framesSince(t, src, installed)
 	if !ok {
-		t.Fatal("frames past the install fell off the buffer")
+		t.Fatal("frames past the install fell off the retained log")
 	}
 	applied, err := dst.ApplyFrames(ctx, frames, 0)
 	if err != nil || applied != installed+3 {
@@ -336,26 +401,26 @@ func TestFramesSincePageBounds(t *testing.T) {
 
 	// A one-byte budget cannot fit any frame, but the page still makes
 	// progress: exactly one frame, more pending.
-	frames, more, ok := s.FramesSincePage(0, 0, 1)
+	frames, more, ok := framesPage(t, s, 0, 0, 1)
 	if !ok || len(frames) != 1 || !more {
 		t.Fatalf("byte-starved page: %d frames more=%v ok=%v, want the progress-guarantee frame", len(frames), more, ok)
 	}
 	// The frame-count budget binds too.
-	frames, more, ok = s.FramesSincePage(0, 3, 0)
+	frames, more, ok = framesPage(t, s, 0, 3, 0)
 	if !ok || len(frames) != 3 || !more {
 		t.Fatalf("count-capped page: %d frames more=%v ok=%v", len(frames), more, ok)
 	}
 	// Walking the pages reassembles the unpaged feed.
-	want, ok := s.FramesSince(0)
+	want, ok := framesSince(t, s, 0)
 	if !ok {
-		t.Fatal("full history fell off the buffer")
+		t.Fatal("full history fell off the retained log")
 	}
 	var got []ReplFrame
 	after := uint64(0)
 	for {
-		page, more, ok := s.FramesSincePage(after, 4, 0)
+		page, more, ok := framesPage(t, s, after, 4, 0)
 		if !ok {
-			t.Fatalf("page after %d fell off the buffer", after)
+			t.Fatalf("page after %d fell off the retained log", after)
 		}
 		got = append(got, page...)
 		if len(page) > 0 {
@@ -375,7 +440,7 @@ func TestFramesSincePageBounds(t *testing.T) {
 		}
 	}
 	// An up-to-date reader gets an empty, final page.
-	if frames, more, ok := s.FramesSincePage(s.LSN(), 4, 0); !ok || more || len(frames) != 0 {
+	if frames, more, ok := framesPage(t, s, s.LSN(), 4, 0); !ok || more || len(frames) != 0 {
 		t.Fatalf("caught-up page: %d frames more=%v ok=%v", len(frames), more, ok)
 	}
 }
